@@ -1,0 +1,220 @@
+"""End-to-end pipeline: substitute, integrate, back-substitute, verify.
+
+Every antiderivative the engine reports has survived a numeric derivative
+check: a fourth-order finite-difference stencil of the result is compared
+against the integrand on a fixed sample grid, in relative terms.  A method
+whose result fails that check is treated as having failed outright, so a
+report always carries its measured error.
+
+The automatic method choice tries Gregory, then modified Weierstrass, then
+Barrow, then Weierstrass, keeps every verified success, and returns the one
+with the fewest antiderivative terms (earlier method wins ties).  Gregory
+comes first because it tends to produce the one-log answers; Weierstrass
+last because its half-angle denominators most often split into extra
+partial-fraction terms.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Optional, Union
+
+from .errors import NotApplicable, SecintError, SingularPoint, ToleranceNotMet
+from .integrate import Antiderivative, eval_antiderivative, integrate_rational
+from .substitution import (
+    VALIDITY,
+    Substitution,
+    SubstitutionName,
+    apply_substitution,
+    back_substitute,
+    get_substitution,
+)
+from .trig import TrigRational
+
+AUTO = "auto"
+
+# order matters: this is the auto-mode preference list
+_AUTO_ORDER = (
+    SubstitutionName.GREGORY,
+    SubstitutionName.MODIFIED_WEIERSTRASS,
+    SubstitutionName.BARROW,
+    SubstitutionName.WEIERSTRASS,
+)
+
+# sample evaluations this close to a pole are rejected and the point nudged
+_POLE_GUARD = 1e-6
+_MAX_NUDGES = 100
+
+
+@dataclass(frozen=True)
+class VerificationDomain:
+    lo: float
+    hi: float
+    samples: int = 25
+    h: float = 1e-5
+
+    def __post_init__(self):
+        if not self.lo < self.hi:
+            raise ValueError("verification domain needs lo < hi")
+        if self.samples < 1:
+            raise ValueError("verification needs at least one sample")
+
+    def grid(self) -> list[float]:
+        if self.samples == 1:
+            return [(self.lo + self.hi) / 2]
+        step = (self.hi - self.lo) / (self.samples - 1)
+        return [self.lo + k * step for k in range(self.samples)]
+
+
+@dataclass(frozen=True)
+class VerificationOutcome:
+    samples: int
+    domain: tuple[float, float]
+    max_rel_error: float
+
+
+@dataclass(frozen=True)
+class IntegrationReport:
+    input: str
+    method: SubstitutionName
+    antiderivative: Antiderivative
+    verification: VerificationOutcome
+    failures: tuple[tuple[str, str], ...] = ()
+
+
+def _default_domain(samples: int = 25, h: float = 1e-5) -> VerificationDomain:
+    return VerificationDomain(VALIDITY[0], VALIDITY[1], samples, h)
+
+
+def _eval_integrand(R: TrigRational, x: float) -> float:
+    c = math.cos(x)
+    denv = R.den(c)
+    if abs(denv) < _POLE_GUARD:
+        raise SingularPoint(f"integrand pole too close to x = {x!r}")
+    return R.num.eval(c, math.sin(x)) / denv
+
+
+def _nudged(x: float, dom: VerificationDomain, attempt: int) -> float:
+    delta = (dom.hi - dom.lo) / 1000
+    j = attempt // 2 + 1
+    step = j * delta if attempt % 2 == 0 else -j * delta
+    return min(max(x + step, dom.lo), dom.hi)
+
+
+def diff_check(F: Antiderivative, R: TrigRational, dom: VerificationDomain) -> float:
+    """Max over the sample grid of |stencil(F) - R| / max(1, |R|).
+
+    Points whose evaluations come within 1e-6 of a pole are nudged along a
+    deterministic offset sequence; if a point stays unusable after 100
+    nudges the domain is reported unusable via :class:`SingularPoint`.
+    """
+    h = dom.h
+
+    def point_error(x: float) -> float:
+        stencil = (
+            -eval_antiderivative(F, x + 2 * h, _POLE_GUARD)
+            + 8 * eval_antiderivative(F, x + h, _POLE_GUARD)
+            - 8 * eval_antiderivative(F, x - h, _POLE_GUARD)
+            + eval_antiderivative(F, x - 2 * h, _POLE_GUARD)
+        ) / (12 * h)
+        rv = _eval_integrand(R, x)
+        return abs(stencil - rv) / max(1.0, abs(rv))
+
+    worst = 0.0
+    for x0 in dom.grid():
+        x = x0
+        for attempt in range(_MAX_NUDGES + 1):
+            try:
+                worst = max(worst, point_error(x))
+                break
+            except SingularPoint:
+                if attempt == _MAX_NUDGES:
+                    raise SingularPoint(
+                        f"no usable sample near x = {x0!r} after "
+                        f"{_MAX_NUDGES} nudges"
+                    )
+                x = _nudged(x0, dom, attempt)
+    return worst
+
+
+def constant_difference_check(
+    F1: Antiderivative, F2: Antiderivative, dom: VerificationDomain
+) -> tuple[bool, float]:
+    """Sample F1 - F2; constant iff max - min < 1e-8; returns the mean."""
+    diffs: list[float] = []
+    for x0 in dom.grid():
+        x = x0
+        for attempt in range(_MAX_NUDGES + 1):
+            try:
+                diffs.append(
+                    eval_antiderivative(F1, x, _POLE_GUARD)
+                    - eval_antiderivative(F2, x, _POLE_GUARD)
+                )
+                break
+            except SingularPoint:
+                if attempt == _MAX_NUDGES:
+                    raise SingularPoint(
+                        f"no usable sample near x = {x0!r} after "
+                        f"{_MAX_NUDGES} nudges"
+                    )
+                x = _nudged(x0, dom, attempt)
+    spread = max(diffs) - min(diffs)
+    return spread < 1e-8, sum(diffs) / len(diffs)
+
+
+def integrate_trig(
+    R: TrigRational,
+    method: Union[SubstitutionName, str] = AUTO,
+    domain: Optional[VerificationDomain] = None,
+    tolerance: float = 1e-6,
+) -> IntegrationReport:
+    """Integrate a cos/sin rational expression and verify the result.
+
+    ``method`` is a substitution name or "auto".  Auto runs the preference
+    list, keeps every method whose verified error is below ``tolerance``,
+    and picks the result with the fewest terms (preference order breaks
+    ties).  All-methods failure raises the most informative error; a report
+    lists non-fatal per-method failures in ``failures``.
+    """
+    dom = domain if domain is not None else _default_domain()
+    if method == AUTO:
+        order = [get_substitution(name) for name in _AUTO_ORDER]
+    else:
+        order = [get_substitution(method)]
+
+    successes: list[tuple[Substitution, Antiderivative, float]] = []
+    failures: list[tuple[str, SecintError]] = []
+    for sub in order:
+        try:
+            result = apply_substitution(R, sub)
+            F = integrate_rational(result.integrand)
+            G = back_substitute(F, sub)
+            err = diff_check(G, R, dom)
+            if not err < tolerance:
+                raise ToleranceNotMet(
+                    f"derivative check error {err:.3e} exceeds {tolerance:.1e} "
+                    f"for method {sub.name.value}"
+                )
+        except SecintError as exc:
+            failures.append((sub.name.value, exc))
+            continue
+        successes.append((sub, G, err))
+
+    if not successes:
+        for _, exc in failures:
+            if not isinstance(exc, NotApplicable):
+                raise exc
+        raise failures[0][1]
+
+    best_index = min(
+        range(len(successes)), key=lambda i: (len(successes[i][1].terms), i)
+    )
+    sub, G, err = successes[best_index]
+    return IntegrationReport(
+        input=str(R),
+        method=sub.name,
+        antiderivative=G,
+        verification=VerificationOutcome(dom.samples, (dom.lo, dom.hi), err),
+        failures=tuple((name, str(exc)) for name, exc in failures),
+    )
