@@ -11,7 +11,10 @@ Barrow, then Weierstrass, keeps every verified success, and returns the one
 with the fewest antiderivative terms (earlier method wins ties).  Gregory
 comes first because it tends to produce the one-log answers; Weierstrass
 last because its half-angle denominators most often split into extra
-partial-fraction terms.
+partial-fraction terms.  Gregory and modified Weierstrass are one
+parametrization under two parameter names, so auto mode runs the pipeline
+once for the pair and reports its outcome under both names; a refusal
+message then names Gregory's parameter u.
 """
 
 from __future__ import annotations
@@ -163,6 +166,27 @@ def constant_difference_check(
     return spread < 1e-8, sum(diffs) / len(diffs)
 
 
+def _parametrization_key(sub: Substitution) -> tuple:
+    """What the pipeline's outcome depends on besides the integrand: the
+    maps with the parameter renamed to one common name, and the map back."""
+    maps = (sub.cos_expr, sub.sin_expr, sub.dx_expr)
+    return tuple(None if e is None else e.rename("p") for e in maps) + (sub.back_sub,)
+
+
+def _run_pipeline(
+    R: TrigRational, sub: Substitution, dom: VerificationDomain
+) -> Union[tuple[Antiderivative, float], SecintError]:
+    """Substitute, integrate, back-substitute and measure the derivative
+    error; a refusal is returned, not raised, so that it can be shared."""
+    try:
+        result = apply_substitution(R, sub)
+        F = integrate_rational(result.integrand)
+        G = back_substitute(F, sub)
+        return G, diff_check(G, R, dom)
+    except SecintError as exc:
+        return exc
+
+
 def integrate_trig(
     R: TrigRational,
     method: Union[SubstitutionName, str] = AUTO,
@@ -183,20 +207,23 @@ def integrate_trig(
     else:
         order = [get_substitution(method)]
 
+    outcomes: dict[tuple, Union[tuple[Antiderivative, float], SecintError]] = {}
     successes: list[tuple[Substitution, Antiderivative, float]] = []
     failures: list[tuple[str, SecintError]] = []
     for sub in order:
-        try:
-            result = apply_substitution(R, sub)
-            F = integrate_rational(result.integrand)
-            G = back_substitute(F, sub)
-            err = diff_check(G, R, dom)
-            if not err < tolerance:
-                raise ToleranceNotMet(
-                    f"derivative check error {err:.3e} exceeds {tolerance:.1e} "
-                    f"for method {sub.name.value}"
-                )
-        except SecintError as exc:
+        key = _parametrization_key(sub)
+        if key not in outcomes:
+            outcomes[key] = _run_pipeline(R, sub, dom)
+        outcome = outcomes[key]
+        if isinstance(outcome, SecintError):
+            failures.append((sub.name.value, outcome))
+            continue
+        G, err = outcome
+        if not err < tolerance:
+            exc = ToleranceNotMet(
+                f"derivative check error {err:.3e} exceeds {tolerance:.1e} "
+                f"for method {sub.name.value}"
+            )
             failures.append((sub.name.value, exc))
             continue
         successes.append((sub, G, err))

@@ -9,8 +9,9 @@ The coefficient field never leaves the rationals.  A quadratic such as
 t^2 + 3 would need atan(t/sqrt(3))/sqrt(3); instead of adjoining surds the
 failure is reported as :class:`IrrationalAtanScale`.  Denominators with a
 rational-rootless factor of degree three or more are likewise reported as
-:class:`UnsupportedDenominator`.  Everything the trig substitutions generate
-stays inside the supported class.
+:class:`UnsupportedDenominator`.  The trig substitutions do not always stay
+inside the supported class: a product of two irreducible quadratics, such as
+the image of 1/((5+3*cos(x))*(5-4*cos(x))), is refused that way.
 """
 
 from __future__ import annotations
@@ -116,14 +117,6 @@ def _argument_key(arg: Payload) -> tuple:
     return (2, arg.coefficients)
 
 
-def _payload_is_zero(p: Payload) -> bool:
-    return p.is_zero()
-
-
-def _payload_is_constant(p: Payload) -> bool:
-    return p.is_constant()
-
-
 def make_antiderivative(terms: list[Term], variable: str) -> Antiderivative:
     """Canonical construction: merge, drop zeros, fix order and signs.
 
@@ -138,15 +131,15 @@ def make_antiderivative(terms: list[Term], variable: str) -> Antiderivative:
     atans: dict = {}
     for term in terms:
         if isinstance(term, PolyTerm):
-            if _payload_is_zero(term.payload):
+            if term.payload.is_zero():
                 continue
             poly_sum = term.payload if poly_sum is None else poly_sum + term.payload
         elif isinstance(term, RatTerm):
-            if _payload_is_zero(term.payload):
+            if term.payload.is_zero():
                 continue
             rat_sum = term.payload if rat_sum is None else rat_sum + term.payload
         elif isinstance(term, LogTerm):
-            if term.coefficient == 0 or _payload_is_constant(term.argument):
+            if term.coefficient == 0 or term.argument.is_constant():
                 continue
             arg = term.argument
             if term.absolute and leading_sign(arg) < 0:
@@ -159,7 +152,7 @@ def make_antiderivative(terms: list[Term], variable: str) -> Antiderivative:
                 else LogTerm(prev.coefficient + term.coefficient, arg, term.absolute)
             )
         elif isinstance(term, AtanTerm):
-            if term.coefficient == 0 or _payload_is_constant(term.argument):
+            if term.coefficient == 0 or term.argument.is_constant():
                 continue
             key = _argument_key(term.argument)
             prev = atans.get(key)
@@ -171,9 +164,9 @@ def make_antiderivative(terms: list[Term], variable: str) -> Antiderivative:
         else:
             raise TypeError(f"unknown antiderivative term {term!r}")
     out: list[Term] = []
-    if poly_sum is not None and not _payload_is_zero(poly_sum):
+    if poly_sum is not None and not poly_sum.is_zero():
         out.append(PolyTerm(poly_sum))
-    if rat_sum is not None and not _payload_is_zero(rat_sum):
+    if rat_sum is not None and not rat_sum.is_zero():
         out.append(RatTerm(rat_sum))
     out.extend(
         t

@@ -474,11 +474,6 @@ def ratfunc_normalize(num: Polynomial, den: Polynomial) -> RationalFunction:
     return RationalFunction(num, den)
 
 
-def ratfunc_derivative(f: RationalFunction) -> RationalFunction:
-    """Quotient-rule derivative in canonical form."""
-    return f.derivative()
-
-
 def rational_sqrt(value: Fraction) -> Fraction | None:
     """Exact square root of a nonnegative rational, or None if irrational."""
     if value < 0:

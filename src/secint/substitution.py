@@ -15,8 +15,11 @@ back as an expression in x:
                     is a function of sin alone.
 
 tan(x/2 + pi/4) and sec x + tan x are the same function of x, which is why
-the modified and Gregory columns coincide; the equivalence is asserted in
-tests rather than deduplicated here.
+the modified and Gregory columns coincide.  Both stay named substitutions
+here; :func:`secint.engine.integrate_trig` recognises that their maps agree
+and runs the shared pipeline once in auto mode.
+
+The substitutions are immutable and built once, at import.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+from . import trig
 from .errors import DenominatorVanishesIdentically, NotApplicable
 from .integrate import Antiderivative, AtanTerm, LogTerm, PolyTerm, RatTerm, make_antiderivative
 from .ratfunc import Polynomial, RationalFunction, ratfunc_normalize
@@ -129,17 +133,20 @@ def _barrow() -> Substitution:
     )
 
 
+_BUILTIN = {
+    sub.name: sub
+    for sub in (_weierstrass(), _modified_weierstrass(), _gregory(), _barrow())
+}
+
+
 def builtin_substitutions() -> list[Substitution]:
-    """The four substitutions, each constructed fresh (all immutable)."""
-    return [_weierstrass(), _modified_weierstrass(), _gregory(), _barrow()]
+    """The four substitutions in a new list; the (immutable) substitutions
+    themselves are shared, built once at import."""
+    return list(_BUILTIN.values())
 
 
 def get_substitution(name: SubstitutionName | str) -> Substitution:
-    name = SubstitutionName(name)
-    for sub in builtin_substitutions():
-        if sub.name == name:
-            return sub
-    raise KeyError(name)
+    return _BUILTIN[SubstitutionName(name)]
 
 
 def _barrow_integrand(R: TrigRational, var: str) -> RationalFunction:
@@ -189,11 +196,44 @@ def apply_substitution(R: TrigRational, sub: Substitution) -> SubstitutionResult
     return SubstitutionResult(num_rf / den_rf * sub.dx_expr, sub)
 
 
+def _homogenized(
+    poly: Polynomial, m: int, b: TrigPolynomial, c_powers: list[Polynomial]
+) -> TrigPolynomial:
+    """``sum n_k B^k C^(m-k)`` by Horner in B: ``C^m * poly(B/C)`` for
+    ``m >= deg poly``, given ``c_powers[j] = C^j`` for j up to m."""
+    acc = TrigPolynomial.zero()
+    for k in range(m, -1, -1):
+        acc = acc * b + TrigPolynomial.from_cos_polynomial(c_powers[m - k] * poly.coefficient(k))
+    return acc
+
+
+def _pull_back(payload: Polynomial | RationalFunction, back: TrigRational) -> TrigRational:
+    """``payload(back)`` in canonical form, canonicalized once.
+
+    With ``back = B/C`` and ``payload = N/D`` (D = 1 for a polynomial), both
+    N and D are homogenized to the same degree ``m = max(deg N, deg D)``, so
+    the common factor ``C^m`` cancels from the quotient without a gcd.
+    """
+    if isinstance(payload, Polynomial):
+        num, den = payload, Polynomial.constant(1, payload.var)
+    else:
+        num, den = payload.num, payload.den
+    m = max(num.degree, den.degree)
+    c_powers = [Polynomial.constant(1, back.den.var)]
+    for _ in range(m):
+        c_powers.append(c_powers[-1] * back.den)
+    # looked up on the module so that a wrapper installed there sees the call
+    return trig.canonicalize(
+        _homogenized(num, m, back.num, c_powers), _homogenized(den, m, back.num, c_powers)
+    )
+
+
 def back_substitute(F: Antiderivative, sub: Substitution) -> Antiderivative:
     """Replace the parameter by its expression in x throughout F.
 
     Arguments of logs and atans become trig expressions; no simplification
-    happens beyond canonicalization of each argument.
+    happens beyond canonicalization of each argument, done once per payload
+    on its homogeneous composition (see :func:`_pull_back`).
     """
     if F.variable != sub.param:
         raise ValueError(
@@ -201,23 +241,16 @@ def back_substitute(F: Antiderivative, sub: Substitution) -> Antiderivative:
             f"parameter {sub.param!r}"
         )
     back = sub.back_sub
-
-    def through(value):
-        result = value(back)
-        if not isinstance(result, TrigRational):
-            result = TrigRational.constant(result)
-        return result
-
     terms = []
     for term in F.terms:
         if isinstance(term, PolyTerm):
-            terms.append(PolyTerm(through(term.payload)))
+            terms.append(PolyTerm(_pull_back(term.payload, back)))
         elif isinstance(term, RatTerm):
-            terms.append(RatTerm(through(term.payload)))
+            terms.append(RatTerm(_pull_back(term.payload, back)))
         elif isinstance(term, LogTerm):
-            terms.append(LogTerm(term.coefficient, through(term.argument), term.absolute))
+            terms.append(LogTerm(term.coefficient, _pull_back(term.argument, back), term.absolute))
         elif isinstance(term, AtanTerm):
-            terms.append(AtanTerm(term.coefficient, through(term.argument)))
+            terms.append(AtanTerm(term.coefficient, _pull_back(term.argument, back)))
         else:
             raise TypeError(f"unknown antiderivative term {term!r}")
     return make_antiderivative(terms, "x")

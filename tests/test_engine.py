@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import random_trig_rational
+from secint import engine
 from secint.engine import (
     IntegrationReport,
     VerificationDomain,
@@ -82,6 +83,33 @@ def test_auto_records_nonfatal_failures():
     report = integrate_trig(SIN**2, "auto")
     assert report.verification.max_rel_error < 1e-6
     assert ("barrow" in dict(report.failures))
+
+
+def test_auto_integrates_gregory_and_modified_once(monkeypatch):
+    variables = []
+    original = engine.integrate_rational
+
+    def counting(f):
+        variables.append(f.var)
+        return original(f)
+
+    monkeypatch.setattr(engine, "integrate_rational", counting)
+    report = integrate_trig(SEC, "auto")
+    assert report.method is SubstitutionName.GREGORY
+    # one call for Gregory and modified together, then Barrow, Weierstrass
+    assert variables == ["u", "u", "t"]
+
+
+def test_auto_shared_refusal_listed_under_both_names():
+    r = parse_trig("((0)+(-1*cos(x))*sin(x))/((-1)+(-3)*sin(x))")
+    report = integrate_trig(r, "auto")
+    assert report.method is SubstitutionName.BARROW
+    assert [name for name, _ in report.failures] == [
+        "gregory",
+        "modified-weierstrass",
+        "weierstrass",
+    ]
+    assert report.failures[0][1] == report.failures[1][1]
 
 
 def test_report_input_is_rendered():

@@ -13,7 +13,6 @@ from secint.ratfunc import (
     poly_xgcd,
     rational_roots,
     rational_sqrt,
-    ratfunc_derivative,
     ratfunc_normalize,
     squarefree_factorization,
 )
@@ -146,7 +145,7 @@ def test_normalize_zero_and_errors():
 def test_quotient_rule_frozen():
     # d/dt [2t/(1+t^2)] = (2 - 2t^2)/(1+t^2)^2   [DERIVED]
     f = ratfunc_normalize(P(0, 2, var="t"), P(1, 0, 1, var="t"))
-    df = ratfunc_derivative(f)
+    df = f.derivative()
     assert df.num == P(2, 0, -2, var="t")
     assert df.den == P(1, 0, 1, var="t") ** 2
 

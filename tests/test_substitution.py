@@ -5,12 +5,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import fourth_order_diff, random_trig_rational
 from secint.errors import NotApplicable
 from secint.integrate import (
+    Antiderivative,
     LogTerm,
     PolyTerm,
+    RatTerm,
     integrate_rational,
     make_antiderivative,
     symbolic_derivative,
@@ -216,3 +220,37 @@ def test_derivative_of_back_substituted_matches_numerically():
         G = back_substitute(F, sub)
         assert symbolic_derivative(G) == r
         done += 1
+
+
+def horner_composition(payload, back):
+    """Reference for back-substitution: Horner over TrigRational, which
+    canonicalizes at every step."""
+    result = payload(back)
+    if not isinstance(result, TrigRational):
+        result = TrigRational.constant(result)
+    return result
+
+
+coefficient_lists = st.lists(
+    st.fractions(min_value=-5, max_value=5, max_denominator=4), max_size=6
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from([sub.name.value for sub in builtin_substitutions()]),
+    poly=coefficient_lists,
+    num=coefficient_lists,
+    den=coefficient_lists.filter(lambda cs: any(c != 0 for c in cs)),
+)
+def test_back_substitute_matches_horner_composition(name, poly, num, den):
+    sub = by_name(name)
+    var = sub.param
+    payloads = (
+        (PolyTerm, Polynomial.from_coefficients(poly, var)),
+        (RatTerm, RF(num, den, var)),
+    )
+    for term_type, payload in payloads:
+        G = back_substitute(Antiderivative((term_type(payload),), var), sub)
+        expected = horner_composition(payload, sub.back_sub)
+        assert G.terms == (() if expected.is_zero() else (term_type(expected),))
