@@ -29,7 +29,6 @@ from .conics import (
 from .engine import (
     IntegrationReport,
     VerificationDomain,
-    VerificationOutcome,
     constant_difference_check,
     diff_check,
     integrate_trig,
@@ -132,7 +131,6 @@ __all__ = [
     "UnsupportedDenominator",
     "VALIDITY",
     "VerificationDomain",
-    "VerificationOutcome",
     "ZeroParameter",
     "apply_substitution",
     "back_substitute",

@@ -24,12 +24,12 @@ from .conics import (
     hyperbola_from_Pplus,
     param_convert,
 )
-from .engine import VerificationDomain, integrate_trig
+from .engine import integrate_trig
 from .errors import SecintError
 from .mercator import GeoPoint, mercator_y_numeric, project
 from .parse import parse_trig
 from .render import format_antiderivative
-from .substitution import VALIDITY, SubstitutionName
+from .substitution import SubstitutionName
 from .trig import verify_log_derivative
 
 _CURVES = {
@@ -39,25 +39,12 @@ _CURVES = {
 }
 
 
-def _domain_pair(text: str) -> tuple[float, float]:
-    lo_text, hi_text = text.split(",")
-    return float(lo_text), float(hi_text)
-
-
 def _cmd_integrate(args):
-    expression = parse_trig(args.expr)
-    domain = None
-    if args.domain is not None or args.samples is not None:
-        lo, hi = args.domain if args.domain is not None else VALIDITY
-        domain = VerificationDomain(lo, hi, samples=args.samples or 25)
-    report = integrate_trig(expression, method=args.method, domain=domain)
+    report = integrate_trig(parse_trig(args.expr), method=args.method)
     return {
         "input": report.input,
         "method": report.method.value,
         "antiderivative": format_antiderivative(report.antiderivative),
-        "max_rel_error": report.verification.max_rel_error,
-        "domain": list(report.verification.domain),
-        "samples": report.verification.samples,
         "failures": [
             {"method": name, "reason": reason} for name, reason in report.failures
         ],
@@ -121,13 +108,6 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=["auto"] + [name.value for name in SubstitutionName],
         help="substitution to use (default: try all and keep the simplest)",
     )
-    p.add_argument(
-        "--domain",
-        type=_domain_pair,
-        metavar="LO,HI",
-        help="verification interval (default: the shared validity window)",
-    )
-    p.add_argument("--samples", type=int, help="verification grid size (default 25)")
     p.add_argument("expr", metavar="EXPR", help="expression such as 'sec(x)'")
     p.set_defaults(handler=_cmd_integrate)
 

@@ -1,10 +1,14 @@
 """End-to-end pipeline: substitute, integrate, back-substitute, verify.
 
-Every antiderivative the engine reports has survived a numeric derivative
-check: a fourth-order finite-difference stencil of the result is compared
-against the integrand on a fixed sample grid, in relative terms.  A method
-whose result fails that check is treated as having failed outright, so a
-report always carries its measured error.
+Every antiderivative the engine reports carries an exact certificate: its
+termwise derivative equals the integrand as canonical quotients over the
+circle, ``symbolic_derivative(G) == R``.  The four substitutions are
+rational parametrizations of the circle, so this check needs no sampling
+and no tolerance; it cannot reject a right answer near a pole, and it
+cannot pass a wrong one.  A result that fails it is refused with
+:class:`ToleranceNotMet`, like any other refusal.  :func:`diff_check` and
+:func:`constant_difference_check` remain as independent numeric
+cross-checks; the engine itself does not call them.
 
 The automatic method choice tries Gregory, then modified Weierstrass, then
 Barrow, then Weierstrass, keeps every verified success, and returns the one
@@ -21,12 +25,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Callable, Union
 
 from .errors import NotApplicable, SecintError, SingularPoint, ToleranceNotMet
-from .integrate import Antiderivative, eval_antiderivative, integrate_rational
+from .integrate import (
+    Antiderivative,
+    eval_antiderivative,
+    integrate_rational,
+    symbolic_derivative,
+)
 from .substitution import (
-    VALIDITY,
     Substitution,
     SubstitutionName,
     apply_substitution,
@@ -48,6 +56,8 @@ _AUTO_ORDER = (
 # sample evaluations this close to a pole are rejected and the point nudged
 _POLE_GUARD = 1e-6
 _MAX_NUDGES = 100
+# step of the fourth-order finite-difference stencil in diff_check
+_STENCIL_STEP = 1e-5
 
 
 @dataclass(frozen=True)
@@ -55,7 +65,6 @@ class VerificationDomain:
     lo: float
     hi: float
     samples: int = 25
-    h: float = 1e-5
 
     def __post_init__(self):
         if not self.lo < self.hi:
@@ -71,23 +80,11 @@ class VerificationDomain:
 
 
 @dataclass(frozen=True)
-class VerificationOutcome:
-    samples: int
-    domain: tuple[float, float]
-    max_rel_error: float
-
-
-@dataclass(frozen=True)
 class IntegrationReport:
     input: str
     method: SubstitutionName
     antiderivative: Antiderivative
-    verification: VerificationOutcome
     failures: tuple[tuple[str, str], ...] = ()
-
-
-def _default_domain(samples: int = 25, h: float = 1e-5) -> VerificationDomain:
-    return VerificationDomain(VALIDITY[0], VALIDITY[1], samples, h)
 
 
 def _eval_integrand(R: TrigRational, x: float) -> float:
@@ -98,21 +95,41 @@ def _eval_integrand(R: TrigRational, x: float) -> float:
     return R.num.eval(c, math.sin(x)) / denv
 
 
-def _nudged(x: float, dom: VerificationDomain, attempt: int) -> float:
+def _sample(value: Callable[[float], float], dom: VerificationDomain) -> list[float]:
+    """``value`` at every grid point of ``dom``.
+
+    A point where ``value`` raises :class:`SingularPoint` is nudged along a
+    deterministic offset sequence; if it stays unusable after 100 nudges
+    the domain is reported unusable via :class:`SingularPoint`.
+    """
     delta = (dom.hi - dom.lo) / 1000
-    j = attempt // 2 + 1
-    step = j * delta if attempt % 2 == 0 else -j * delta
-    return min(max(x + step, dom.lo), dom.hi)
+    values = []
+    for x0 in dom.grid():
+        x = x0
+        for attempt in range(_MAX_NUDGES + 1):
+            try:
+                values.append(value(x))
+                break
+            except SingularPoint:
+                if attempt == _MAX_NUDGES:
+                    raise SingularPoint(
+                        f"no usable sample near x = {x0!r} after "
+                        f"{_MAX_NUDGES} nudges"
+                    )
+                j = attempt // 2 + 1
+                step = j * delta if attempt % 2 == 0 else -j * delta
+                x = min(max(x0 + step, dom.lo), dom.hi)
+    return values
 
 
 def diff_check(F: Antiderivative, R: TrigRational, dom: VerificationDomain) -> float:
     """Max over the sample grid of |stencil(F) - R| / max(1, |R|).
 
-    Points whose evaluations come within 1e-6 of a pole are nudged along a
-    deterministic offset sequence; if a point stays unusable after 100
-    nudges the domain is reported unusable via :class:`SingularPoint`.
+    A numeric cross-check, independent of the exact certificate.  Points
+    whose evaluations come within 1e-6 of a pole are nudged (see
+    :func:`_sample`).
     """
-    h = dom.h
+    h = _STENCIL_STEP
 
     def point_error(x: float) -> float:
         stencil = (
@@ -124,44 +141,18 @@ def diff_check(F: Antiderivative, R: TrigRational, dom: VerificationDomain) -> f
         rv = _eval_integrand(R, x)
         return abs(stencil - rv) / max(1.0, abs(rv))
 
-    worst = 0.0
-    for x0 in dom.grid():
-        x = x0
-        for attempt in range(_MAX_NUDGES + 1):
-            try:
-                worst = max(worst, point_error(x))
-                break
-            except SingularPoint:
-                if attempt == _MAX_NUDGES:
-                    raise SingularPoint(
-                        f"no usable sample near x = {x0!r} after "
-                        f"{_MAX_NUDGES} nudges"
-                    )
-                x = _nudged(x0, dom, attempt)
-    return worst
+    return max(_sample(point_error, dom))
 
 
 def constant_difference_check(
     F1: Antiderivative, F2: Antiderivative, dom: VerificationDomain
 ) -> tuple[bool, float]:
     """Sample F1 - F2; constant iff max - min < 1e-8; returns the mean."""
-    diffs: list[float] = []
-    for x0 in dom.grid():
-        x = x0
-        for attempt in range(_MAX_NUDGES + 1):
-            try:
-                diffs.append(
-                    eval_antiderivative(F1, x, _POLE_GUARD)
-                    - eval_antiderivative(F2, x, _POLE_GUARD)
-                )
-                break
-            except SingularPoint:
-                if attempt == _MAX_NUDGES:
-                    raise SingularPoint(
-                        f"no usable sample near x = {x0!r} after "
-                        f"{_MAX_NUDGES} nudges"
-                    )
-                x = _nudged(x0, dom, attempt)
+    diffs = _sample(
+        lambda x: eval_antiderivative(F1, x, _POLE_GUARD)
+        - eval_antiderivative(F2, x, _POLE_GUARD),
+        dom,
+    )
     spread = max(diffs) - min(diffs)
     return spread < 1e-8, sum(diffs) / len(diffs)
 
@@ -174,59 +165,52 @@ def _parametrization_key(sub: Substitution) -> tuple:
 
 
 def _run_pipeline(
-    R: TrigRational, sub: Substitution, dom: VerificationDomain
-) -> Union[tuple[Antiderivative, float], SecintError]:
-    """Substitute, integrate, back-substitute and measure the derivative
-    error; a refusal is returned, not raised, so that it can be shared."""
+    R: TrigRational, sub: Substitution
+) -> Union[Antiderivative, SecintError]:
+    """Substitute, integrate, back-substitute and certify the result
+    exactly; a refusal is returned, not raised, so that it can be shared."""
     try:
         result = apply_substitution(R, sub)
         F = integrate_rational(result.integrand)
         G = back_substitute(F, sub)
-        return G, diff_check(G, R, dom)
+        if symbolic_derivative(G) != R:
+            raise ToleranceNotMet(
+                "the derivative of the result differs from the integrand"
+            )
+        return G
     except SecintError as exc:
         return exc
 
 
 def integrate_trig(
-    R: TrigRational,
-    method: Union[SubstitutionName, str] = AUTO,
-    domain: Optional[VerificationDomain] = None,
-    tolerance: float = 1e-6,
+    R: TrigRational, method: Union[SubstitutionName, str] = AUTO
 ) -> IntegrationReport:
-    """Integrate a cos/sin rational expression and verify the result.
+    """Integrate a cos/sin rational expression and certify the result.
 
-    ``method`` is a substitution name or "auto".  Auto runs the preference
-    list, keeps every method whose verified error is below ``tolerance``,
-    and picks the result with the fewest terms (preference order breaks
-    ties).  All-methods failure raises the most informative error; a report
-    lists non-fatal per-method failures in ``failures``.
+    ``method`` is a substitution name or "auto".  A result is kept only if
+    its derivative equals ``R`` exactly.  Auto runs the preference list,
+    keeps every certified result, and picks the one with the fewest terms
+    (preference order breaks ties).  All-methods failure raises the most
+    informative error; a report lists non-fatal per-method failures in
+    ``failures``.
     """
-    dom = domain if domain is not None else _default_domain()
     if method == AUTO:
         order = [get_substitution(name) for name in _AUTO_ORDER]
     else:
         order = [get_substitution(method)]
 
-    outcomes: dict[tuple, Union[tuple[Antiderivative, float], SecintError]] = {}
-    successes: list[tuple[Substitution, Antiderivative, float]] = []
+    outcomes: dict[tuple, Union[Antiderivative, SecintError]] = {}
+    successes: list[tuple[Substitution, Antiderivative]] = []
     failures: list[tuple[str, SecintError]] = []
     for sub in order:
         key = _parametrization_key(sub)
         if key not in outcomes:
-            outcomes[key] = _run_pipeline(R, sub, dom)
+            outcomes[key] = _run_pipeline(R, sub)
         outcome = outcomes[key]
         if isinstance(outcome, SecintError):
             failures.append((sub.name.value, outcome))
-            continue
-        G, err = outcome
-        if not err < tolerance:
-            exc = ToleranceNotMet(
-                f"derivative check error {err:.3e} exceeds {tolerance:.1e} "
-                f"for method {sub.name.value}"
-            )
-            failures.append((sub.name.value, exc))
-            continue
-        successes.append((sub, G, err))
+        else:
+            successes.append((sub, outcome))
 
     if not successes:
         for _, exc in failures:
@@ -237,11 +221,10 @@ def integrate_trig(
     best_index = min(
         range(len(successes)), key=lambda i: (len(successes[i][1].terms), i)
     )
-    sub, G, err = successes[best_index]
+    sub, G = successes[best_index]
     return IntegrationReport(
         input=str(R),
         method=sub.name,
         antiderivative=G,
-        verification=VerificationOutcome(dom.samples, (dom.lo, dom.hi), err),
         failures=tuple((name, str(exc)) for name, exc in failures),
     )

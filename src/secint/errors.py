@@ -59,4 +59,6 @@ class LatitudeOutOfRange(SecintError):
 
 
 class ToleranceNotMet(SecintError):
-    """Adaptive quadrature exhausted its panel budget."""
+    """A result failed its check: adaptive quadrature exhausted its panel
+    budget, or an antiderivative's exact derivative differs from the
+    integrand."""

@@ -103,11 +103,11 @@ def test_criterion_1_four_method_agreement_on_secant():
         secant = parse_trig("sec(x)")
         flagship = "ln|sec(x)+tan(x)| + C"
         reports = {
-            name: integrate_trig(secant, method=name, domain=DOMAIN)
+            name: integrate_trig(secant, method=name)
             for name in SubstitutionName
         }
         for name, report in reports.items():
-            assert report.verification.max_rel_error < 1e-6, name
+            assert symbolic_derivative(report.antiderivative) == secant, name
         assert (
             format_antiderivative(reports[SubstitutionName.GREGORY].antiderivative)
             == flagship
@@ -135,7 +135,7 @@ def test_criterion_2_derivative_oracle_over_corpus():
         assert len(CORPUS) >= 30
         for source in CORPUS:
             expression = parse_trig(source)
-            report = integrate_trig(expression, domain=DOMAIN)
+            report = integrate_trig(expression)
             err = diff_check(report.antiderivative, expression, DOMAIN)
             assert err < 1e-6, (source, err)
 

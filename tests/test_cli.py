@@ -33,23 +33,19 @@ def test_integrate_gregory_secant():
     doc = invoke_json("integrate", "--method", "gregory", "sec(x)")
     assert doc["method"] == "gregory"
     assert doc["antiderivative"] == "ln|sec(x)+tan(x)| + C"
-    assert doc["max_rel_error"] < 1e-6
-    assert abs(doc["domain"][0] + 1.4707963267948965) < 1e-12
-    assert abs(doc["domain"][1] - 1.4707963267948965) < 1e-12
     assert doc["input"] == "sec(x)"
+    assert set(doc) == {"input", "method", "antiderivative", "failures"}
 
 
 def test_integrate_auto_reports_failures():
-    doc = invoke_json("integrate", "sin(x)^2 * cos(x)^0 + 0", "--samples", "9")
-    assert doc["samples"] == 9
+    doc = invoke_json("integrate", "sin(x)^2 * cos(x)^0 + 0")
     assert any(f["method"] == "barrow" for f in doc["failures"])
 
 
-def test_integrate_custom_domain():
-    # a leading minus needs the = form, as usual with argparse-style CLIs
-    doc = invoke_json("integrate", "--domain=-1.0,1.0", "cos(x)")
-    assert doc["domain"] == [-1.0, 1.0]
-    assert doc["antiderivative"].endswith(" + C")
+def test_integrate_high_secant_power():
+    doc = invoke_json("integrate", "sec(x)^10")
+    assert doc["method"] == "weierstrass"
+    assert doc["antiderivative"].startswith("1/9*sec(x)^8*tan(x)+")
 
 
 def test_triples_bare_list():
@@ -126,6 +122,8 @@ def test_domain_errors_exit_1_with_json(argv):
         ("triples", "--max-hypotenuse", "0"),
         ("convert", "--from", "w", "--to", "t", "--value", "1"),
         ("mercator", "--lat", "0"),
+        ("integrate", "--domain=-1.0,1.0", "sec(x)"),
+        ("integrate", "--samples", "9", "sec(x)"),
     ],
 )
 def test_usage_errors_exit_2_and_keep_stdout_clean(argv):
@@ -157,12 +155,9 @@ def test_fuzzed_invocations_always_emit_json():
     for _ in range(60):
         choice = rng.randrange(6)
         if choice == 0:
-            argv = ["integrate", "--method", rng.choice(methods)]
-            if rng.random() < 0.3:
-                argv += ["--domain=-1.2,1.2"]
-            if rng.random() < 0.3:
-                argv += ["--samples", str(rng.randint(3, 30))]
-            argv.append(rng.choice(expressions))
+            argv = [
+                "integrate", "--method", rng.choice(methods), rng.choice(expressions)
+            ]
         elif choice == 1:
             argv = [
                 "param",
