@@ -52,7 +52,6 @@ from .integrate import (
     Antiderivative,
     AtanTerm,
     LogTerm,
-    PolyTerm,
     RatTerm,
     eval_antiderivative,
     hermite_reduce,
@@ -112,7 +111,6 @@ __all__ = [
     "NotApplicable",
     "ParameterKind",
     "PoleInConversion",
-    "PolyTerm",
     "Polynomial",
     "PythagoreanTriple",
     "RatTerm",

@@ -125,9 +125,13 @@ def _sample(value: Callable[[float], float], dom: VerificationDomain) -> list[fl
 def diff_check(F: Antiderivative, R: TrigRational, dom: VerificationDomain) -> float:
     """Max over the sample grid of |stencil(F) - R| / max(1, |R|).
 
-    A numeric cross-check, independent of the exact certificate.  Points
-    whose evaluations come within 1e-6 of a pole are nudged (see
-    :func:`_sample`).
+    A numeric cross-check, independent of the exact certificate.  A point
+    is nudged (see :func:`_sample`) when the integrand's denominator or a
+    log argument of F comes within 1e-6 of zero there, or when a
+    parameter-space payload's denominator does.  Poles of F's x-space
+    payloads (its rational part and its log and atan arguments) are guarded
+    only by :func:`secint.trig.eval_trig`'s 1e-12, so a stencil point that
+    lands near one of them is not nudged.
     """
     h = _STENCIL_STEP
 
@@ -147,14 +151,19 @@ def diff_check(F: Antiderivative, R: TrigRational, dom: VerificationDomain) -> f
 def constant_difference_check(
     F1: Antiderivative, F2: Antiderivative, dom: VerificationDomain
 ) -> tuple[bool, float]:
-    """Sample F1 - F2; constant iff max - min < 1e-8; returns the mean."""
+    """Whether F1 - F2 is constant, and an estimate of that constant.
+
+    Constancy is decided exactly, by ``symbolic_derivative(F1) ==
+    symbolic_derivative(F2)``; the constant is the mean of F1 - F2 over the
+    sample grid of ``dom``.
+    """
     diffs = _sample(
         lambda x: eval_antiderivative(F1, x, _POLE_GUARD)
         - eval_antiderivative(F2, x, _POLE_GUARD),
         dom,
     )
-    spread = max(diffs) - min(diffs)
-    return spread < 1e-8, sum(diffs) / len(diffs)
+    constant = symbolic_derivative(F1) == symbolic_derivative(F2)
+    return constant, sum(diffs) / len(diffs)
 
 
 def _parametrization_key(sub: Substitution) -> tuple:

@@ -1,17 +1,24 @@
 """Exact antiderivatives of univariate rational functions.
 
 Pipeline: Hermite reduction strips repeated denominator factors into an
-explicit rational part, then partial fractions over the squarefree remainder
-produce log terms (rational linear factors) and log/atan pairs (quadratics
-whose completed square has a rational side length).
+explicit rational part, the polynomial quotient of the squarefree remainder
+is integrated into that same rational part, and partial fractions over the
+remainder produce log terms (rational linear factors) and log/atan pairs
+(one rational-rootless quadratic whose completed square has a rational side
+length).  An :class:`Antiderivative` therefore holds at most one
+:class:`RatTerm`, then its logs and atans.
 
 The coefficient field never leaves the rationals.  A quadratic such as
-t^2 + 3 would need atan(t/sqrt(3))/sqrt(3); instead of adjoining surds the
-failure is reported as :class:`IrrationalAtanScale`.  Denominators with a
-rational-rootless factor of degree three or more are likewise reported as
-:class:`UnsupportedDenominator`.  The trig substitutions do not always stay
-inside the supported class: a product of two irreducible quadratics, such as
-the image of 1/((5+3*cos(x))*(5-4*cos(x))), is refused that way.
+t^2 + 3 would need atan(t/sqrt(3))/sqrt(3) wherever its atan coefficient is
+nonzero; instead of adjoining surds that case is reported as
+:class:`IrrationalAtanScale`.  Once every rational root is removed, a
+cofactor of degree three or more is reported as
+:class:`UnsupportedDenominator`, whether or not it factors over Q.  The trig
+substitutions do not always stay inside the supported class: a product of
+two irreducible quadratics, such as the image of
+1/((5+3*cos(x))*(5-4*cos(x))), is refused that way.  Rational roots are
+found by trying every divisor pair of the extreme coefficients, with no
+budget, so the cost grows with their number of divisors.
 """
 
 from __future__ import annotations
@@ -34,45 +41,41 @@ from .ratfunc import (
 )
 from .trig import TrigRational, eval_trig, trig_derivative
 
-Payload = Union[Polynomial, RationalFunction, TrigRational]
-
-
-@dataclass(frozen=True)
-class PolyTerm:
-    """Integrated polynomial part (a TrigRational after back-substitution)."""
-
-    payload: Union[Polynomial, TrigRational]
+Payload = Union[RationalFunction, TrigRational]
 
 
 @dataclass(frozen=True)
 class RatTerm:
-    """Rational part extracted by Hermite reduction."""
+    """The rational part: Hermite's rational part plus the integrated
+    polynomial quotient, a RationalFunction in the parameter and a
+    TrigRational in x after back-substitution."""
 
-    payload: Union[RationalFunction, TrigRational]
+    payload: Payload
 
 
 @dataclass(frozen=True)
 class LogTerm:
     coefficient: Fraction
-    argument: Union[RationalFunction, TrigRational]
+    argument: Payload
     absolute: bool = True
 
 
 @dataclass(frozen=True)
 class AtanTerm:
     coefficient: Fraction
-    argument: Union[RationalFunction, TrigRational]
+    argument: Payload
 
 
-Term = Union[PolyTerm, RatTerm, LogTerm, AtanTerm]
+Term = Union[RatTerm, LogTerm, AtanTerm]
 
 
 @dataclass(frozen=True)
 class Antiderivative:
     """Ordered term list; the integration constant is implicit.
 
-    Terms are kept canonical: zero terms dropped, like log/atan arguments
-    merged, order fixed as polynomial part, rational part, logs, atans.
+    Terms are kept canonical: rational parts summed into one term, zero
+    terms dropped, like log/atan arguments merged, order fixed as rational
+    part, logs, atans.
     Build through :func:`make_antiderivative`.
     """
 
@@ -85,7 +88,7 @@ class Antiderivative:
         return format_antiderivative(self)
 
 
-def leading_sign(value: Payload) -> int:
+def leading_sign(value: Union[Polynomial, Payload]) -> int:
     """Sign of the first coefficient the renderer prints for ``value``.
 
     Univariate polynomials render ascending up to degree 1 and descending
@@ -112,9 +115,7 @@ def leading_sign(value: Payload) -> int:
 def _argument_key(arg: Payload) -> tuple:
     if isinstance(arg, RationalFunction):
         return (0, arg.num.coefficients, arg.den.coefficients)
-    if isinstance(arg, TrigRational):
-        return (1, arg.num.p.coefficients, arg.num.q.coefficients, arg.den.coefficients)
-    return (2, arg.coefficients)
+    return (1, arg.num.p.coefficients, arg.num.q.coefficients, arg.den.coefficients)
 
 
 def make_antiderivative(terms: list[Term], variable: str) -> Antiderivative:
@@ -125,16 +126,11 @@ def make_antiderivative(terms: list[Term], variable: str) -> Antiderivative:
     since atan is odd.  Logs and atans with constant arguments differentiate
     to zero and are dropped.
     """
-    poly_sum: Union[Polynomial, TrigRational, None] = None
-    rat_sum: Union[RationalFunction, TrigRational, None] = None
+    rat_sum: Union[Payload, None] = None
     logs: dict = {}
     atans: dict = {}
     for term in terms:
-        if isinstance(term, PolyTerm):
-            if term.payload.is_zero():
-                continue
-            poly_sum = term.payload if poly_sum is None else poly_sum + term.payload
-        elif isinstance(term, RatTerm):
+        if isinstance(term, RatTerm):
             if term.payload.is_zero():
                 continue
             rat_sum = term.payload if rat_sum is None else rat_sum + term.payload
@@ -164,8 +160,6 @@ def make_antiderivative(terms: list[Term], variable: str) -> Antiderivative:
         else:
             raise TypeError(f"unknown antiderivative term {term!r}")
     out: list[Term] = []
-    if poly_sum is not None and not poly_sum.is_zero():
-        out.append(PolyTerm(poly_sum))
     if rat_sum is not None and not rat_sum.is_zero():
         out.append(RatTerm(rat_sum))
     out.extend(
@@ -298,8 +292,9 @@ def partial_fractions(f: RationalFunction) -> list[PartialFractionTerm]:
 def integrate_rational(f: RationalFunction) -> Antiderivative:
     """Exact antiderivative of a rational function in its own variable.
 
-    Polynomial part integrates termwise; the Hermite rational part is kept
-    as a term; linear factors give a*ln|u - r|; a quadratic u^2+pu+q gives
+    The polynomial quotient integrates termwise and is added to Hermite's
+    rational part, so the result has at most one :class:`RatTerm`; linear
+    factors give a*ln|u - r|; a quadratic u^2+pu+q gives
     (b/2)ln(u^2+pu+q) + k*atan((u+p/2)/m) with m^2 = q - p^2/4, provided m
     is rational (:class:`IrrationalAtanScale` otherwise, when the atan
     coefficient is nonzero).
@@ -312,7 +307,8 @@ def integrate_rational(f: RationalFunction) -> Antiderivative:
     u = Polynomial.variable(var)
     for part in partial_fractions(remainder):
         if isinstance(part, PolyPart):
-            terms.append(PolyTerm(part.polynomial.integral()))
+            integral = RationalFunction.from_polynomial(part.polynomial.integral())
+            terms.append(RatTerm(integral))
         elif isinstance(part, LinearPart):
             arg = RationalFunction.from_polynomial(u - part.root)
             terms.append(LogTerm(part.residue, arg, absolute=True))
@@ -350,24 +346,16 @@ def symbolic_derivative(F: Antiderivative):
     def _d(payload):
         if isinstance(payload, TrigRational):
             return trig_derivative(payload)
-        if isinstance(payload, RationalFunction):
-            return payload.derivative()
-        return RationalFunction.from_polynomial(payload.derivative())
-
-    def _value(payload):
-        if isinstance(payload, Polynomial):
-            return RationalFunction.from_polynomial(payload)
-        return payload
+        return payload.derivative()
 
     for term in F.terms:
-        if isinstance(term, (PolyTerm, RatTerm)):
+        if isinstance(term, RatTerm):
             piece = _d(term.payload)
         elif isinstance(term, LogTerm):
-            g = _value(term.argument)
-            piece = _d(term.argument) * term.coefficient / g
+            piece = _d(term.argument) * term.coefficient / term.argument
         else:
-            g = _value(term.argument)
-            piece = _d(term.argument) * term.coefficient / (g * g + 1)
+            g = term.argument
+            piece = _d(g) * term.coefficient / (g * g + 1)
         total = piece if total is None else total + piece
     if total is None:
         if F.variable == "x":
@@ -377,22 +365,26 @@ def symbolic_derivative(F: Antiderivative):
 
 
 def eval_antiderivative(F: Antiderivative, x: float, singular_tol: float = 1e-12) -> float:
-    """Double-precision value at x; raises SingularPoint near poles and at
-    log arguments within singular_tol of zero."""
+    """Double-precision value at x.
+
+    Raises :class:`SingularPoint` where a log argument is within
+    ``singular_tol`` of zero, or where the denominator of a parameter-space
+    (RationalFunction) payload is.  TrigRational payloads are evaluated by
+    :func:`secint.trig.eval_trig`, whose own pole guard is a fixed 1e-12 on
+    the cos-polynomial denominator, whatever ``singular_tol`` is.
+    """
 
     def _num(payload) -> float:
         if isinstance(payload, TrigRational):
             return eval_trig(payload, x)
-        if isinstance(payload, RationalFunction):
-            denv = payload.den(x)
-            if abs(denv) < singular_tol:
-                raise SingularPoint(f"denominator vanishes near x = {x!r}")
-            return payload.num(x) / denv
-        return float(payload(x))
+        denv = payload.den(x)
+        if abs(denv) < singular_tol:
+            raise SingularPoint(f"denominator vanishes near x = {x!r}")
+        return payload.num(x) / denv
 
     total = 0.0
     for term in F.terms:
-        if isinstance(term, (PolyTerm, RatTerm)):
+        if isinstance(term, RatTerm):
             total += _num(term.payload)
         elif isinstance(term, LogTerm):
             v = _num(term.argument)

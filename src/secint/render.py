@@ -19,7 +19,7 @@ Conventions, chosen once and pinned by tests:
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING
 
 from .ratfunc import Polynomial, RationalFunction
 
@@ -174,23 +174,17 @@ def _format_argument(arg) -> str:
 
     if isinstance(arg, TrigRational):
         return format_trig_rational(arg)
-    if isinstance(arg, RationalFunction):
-        return format_rational_function(arg)
-    return format_polynomial(arg)
-
-
-def _format_payload(payload) -> str:
-    return _format_argument(payload)
+    return format_rational_function(arg)
 
 
 def format_antiderivative(F) -> str:
     """Human-readable sum ending in `` + C``; deterministic per value."""
-    from .integrate import AtanTerm, LogTerm, PolyTerm, RatTerm
+    from .integrate import AtanTerm, LogTerm, RatTerm
 
     bodies: list[str] = []
     for term in F.terms:
-        if isinstance(term, (PolyTerm, RatTerm)):
-            bodies.append(_format_payload(term.payload))
+        if isinstance(term, RatTerm):
+            bodies.append(_format_argument(term.payload))
         elif isinstance(term, LogTerm):
             arg = _format_argument(term.argument)
             log = f"ln|{arg}|" if term.absolute else f"ln({arg})"

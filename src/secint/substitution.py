@@ -31,7 +31,7 @@ from typing import Optional
 
 from . import trig
 from .errors import DenominatorVanishesIdentically, NotApplicable
-from .integrate import Antiderivative, AtanTerm, LogTerm, PolyTerm, RatTerm, make_antiderivative
+from .integrate import Antiderivative, AtanTerm, LogTerm, RatTerm, make_antiderivative
 from .ratfunc import Polynomial, RationalFunction, ratfunc_normalize
 from .trig import TrigPolynomial, TrigRational, is_odd_in_cos
 
@@ -207,17 +207,14 @@ def _homogenized(
     return acc
 
 
-def _pull_back(payload: Polynomial | RationalFunction, back: TrigRational) -> TrigRational:
+def _pull_back(payload: RationalFunction, back: TrigRational) -> TrigRational:
     """``payload(back)`` in canonical form, canonicalized once.
 
-    With ``back = B/C`` and ``payload = N/D`` (D = 1 for a polynomial), both
-    N and D are homogenized to the same degree ``m = max(deg N, deg D)``, so
-    the common factor ``C^m`` cancels from the quotient without a gcd.
+    With ``back = B/C`` and ``payload = N/D``, both N and D are homogenized
+    to the same degree ``m = max(deg N, deg D)``, so the common factor
+    ``C^m`` cancels from the quotient without a gcd.
     """
-    if isinstance(payload, Polynomial):
-        num, den = payload, Polynomial.constant(1, payload.var)
-    else:
-        num, den = payload.num, payload.den
+    num, den = payload.num, payload.den
     m = max(num.degree, den.degree)
     c_powers = [Polynomial.constant(1, back.den.var)]
     for _ in range(m):
@@ -243,9 +240,7 @@ def back_substitute(F: Antiderivative, sub: Substitution) -> Antiderivative:
     back = sub.back_sub
     terms = []
     for term in F.terms:
-        if isinstance(term, PolyTerm):
-            terms.append(PolyTerm(_pull_back(term.payload, back)))
-        elif isinstance(term, RatTerm):
+        if isinstance(term, RatTerm):
             terms.append(RatTerm(_pull_back(term.payload, back)))
         elif isinstance(term, LogTerm):
             terms.append(LogTerm(term.coefficient, _pull_back(term.argument, back), term.absolute))

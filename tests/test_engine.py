@@ -24,12 +24,12 @@ from secint.errors import (
 from secint.integrate import (
     Antiderivative,
     LogTerm,
-    PolyTerm,
+    RatTerm,
     make_antiderivative,
     symbolic_derivative,
 )
 from secint.parse import parse_trig
-from secint.ratfunc import Polynomial
+from secint.ratfunc import Polynomial, RationalFunction
 from secint.render import format_antiderivative
 from secint.substitution import SubstitutionName, apply_substitution, get_substitution
 from secint.trig import TrigRational
@@ -62,9 +62,19 @@ def test_secant_auto_prefers_gregory():
     assert str(report.antiderivative) == FLAGSHIP
 
 
+@pytest.mark.parametrize("method", ["gregory", "modified-weierstrass", "auto"])
+def test_secant_cubed_has_one_rational_term(method):
+    # the integrated polynomial quotient and Hermite's rational part are one
+    # term, so nothing cancels across terms
+    report = integrate_trig(SEC**3, method)
+    assert str(report.antiderivative) == (
+        "1/2*sec(x)*tan(x) + 1/2*ln|sec(x)+tan(x)| + C"
+    )
+
+
 def test_sin_cos_barrow_is_polynomial_in_sin():
     report = integrate_trig(SIN * COS, "barrow")
-    assert report.antiderivative.terms == (PolyTerm(SIN**2 / 2),)
+    assert report.antiderivative.terms == (RatTerm(SIN**2 / 2),)
 
 
 def test_two_plus_cos_fails_with_irrational_scale():
@@ -124,26 +134,20 @@ def test_auto_shared_refusal_listed_under_both_names():
     [
         (
             10,
-            "weierstrass",
+            "gregory",
             "1/9*sec(x)^8*tan(x)+8/63*sec(x)^6*tan(x)+16/105*sec(x)^4*tan(x)"
             "+64/315*sec(x)^2*tan(x)+128/315*tan(x) + C",
         ),
         (
             11,
             "gregory",
-            "1/20*sec(x)^10+1/32*sec(x)^8+1/32*sec(x)^6+5/128*sec(x)^4"
-            "+35/512*sec(x)^2-1627/20480+1/20*sec(x)^9*tan(x)"
-            "+9/160*sec(x)^7*tan(x)+21/320*sec(x)^5*tan(x)"
-            "+21/256*sec(x)^3*tan(x)+63/512*sec(x)*tan(x)"
-            " - 1/20*sec(x)^10-1/32*sec(x)^8-1/32*sec(x)^6-5/128*sec(x)^4"
-            "-35/512*sec(x)^2+1627/20480+1/20*sec(x)^9*tan(x)"
-            "+9/160*sec(x)^7*tan(x)+21/320*sec(x)^5*tan(x)"
-            "+21/256*sec(x)^3*tan(x)+63/512*sec(x)*tan(x)"
+            "1/10*sec(x)^9*tan(x)+9/80*sec(x)^7*tan(x)+21/160*sec(x)^5*tan(x)"
+            "+21/128*sec(x)^3*tan(x)+63/256*sec(x)*tan(x)"
             " + 63/256*ln|sec(x)+tan(x)| + C",
         ),
         (
             12,
-            "weierstrass",
+            "gregory",
             "1/11*sec(x)^10*tan(x)+10/99*sec(x)^8*tan(x)+80/693*sec(x)^6*tan(x)"
             "+32/231*sec(x)^4*tan(x)+128/693*sec(x)^2*tan(x)+256/693*tan(x) + C",
         ),
@@ -164,7 +168,7 @@ def test_exact_certificate_gates_every_result(monkeypatch):
         G = original(F, sub)
         if sub.name is not SubstitutionName.GREGORY:
             return G
-        return make_antiderivative(list(G.terms) + [PolyTerm(SIN)], "x")
+        return make_antiderivative(list(G.terms) + [RatTerm(SIN)], "x")
 
     def no_numeric_gate(*args):
         raise AssertionError("integrate_trig must not sample")
@@ -196,7 +200,7 @@ def test_diff_check_flagship():
 
 
 def test_diff_check_exact_linear():
-    F = Antiderivative((PolyTerm(Polynomial.variable("x")),), "x")
+    F = Antiderivative((RatTerm(RationalFunction.variable("x")),), "x")
     # the stencil is exact for linear F; away from 0 the only residue is
     # float roundoff of x +/- h, which the small domain keeps below 1e-12
     assert diff_check(F, TrigRational.constant(1), VerificationDomain(-0.01, 0.01)) < 1e-12
@@ -240,11 +244,22 @@ def test_gregory_and_barrow_differ_by_zero():
 def test_shifted_copy_differs_by_three():
     g = integrate_trig(SEC, "gregory").antiderivative
     shifted = make_antiderivative(
-        list(g.terms) + [PolyTerm(Polynomial.constant(3, "x"))], "x"
+        list(g.terms) + [RatTerm(TrigRational.constant(3))], "x"
     )
     is_const, const = constant_difference_check(shifted, g, DOM)
     assert is_const
     assert const == pytest.approx(3.0, abs=1e-10)
+
+
+def test_tiny_nonconstant_difference_is_not_constant():
+    # 1e-10*sin(x) spreads by far less than any sampling tolerance, but its
+    # derivative is not zero
+    g = integrate_trig(SEC, "gregory").antiderivative
+    nudged = make_antiderivative(
+        list(g.terms) + [RatTerm(TrigRational.sin() * Fraction(1, 10**10))], "x"
+    )
+    is_const, _ = constant_difference_check(nudged, g, DOM)
+    assert not is_const
 
 
 def test_weierstrass_form_matches_flagship():
@@ -296,6 +311,7 @@ def test_auto_success_implies_verified():
         except SecintError:
             continue
         assert symbolic_derivative(report.antiderivative) == r
+        assert sum(isinstance(t, RatTerm) for t in report.antiderivative.terms) <= 1
         succeeded += 1
     # random quadratics often leave the rational coefficient field
     # (IrrationalAtanScale) or produce rootless cubics; a healthy fraction

@@ -12,7 +12,6 @@ from secint.integrate import (
     LinearPart,
     LogTerm,
     PolyPart,
-    PolyTerm,
     QuadraticPart,
     RatTerm,
     eval_antiderivative,
@@ -199,7 +198,7 @@ def test_negative_disc_quadratic_uses_absolute_log():
 
 def test_polynomial_part_integrated():
     F = integrate_rational(RF((0, 0, 6), (1,)))  # 6u^2
-    assert F.terms == (PolyTerm(P(0, 0, 0, 2)),)
+    assert F.terms == (RatTerm(RF((0, 0, 0, 2), (1,))),)
 
 
 def test_hermite_rat_term_carried():

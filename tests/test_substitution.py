@@ -13,7 +13,6 @@ from secint.errors import NotApplicable
 from secint.integrate import (
     Antiderivative,
     LogTerm,
-    PolyTerm,
     RatTerm,
     integrate_rational,
     make_antiderivative,
@@ -184,7 +183,7 @@ def test_back_substitute_polynomial_payload():
     result = apply_substitution(SIN * COS, sub)
     F = integrate_rational(result.integrand)
     G = back_substitute(F, sub)
-    assert G.terms == (PolyTerm(SIN**2 / 2),)
+    assert G.terms == (RatTerm(SIN**2 / 2),)
     assert symbolic_derivative(G) == SIN * COS
 
 
@@ -247,10 +246,10 @@ def test_back_substitute_matches_horner_composition(name, poly, num, den):
     sub = by_name(name)
     var = sub.param
     payloads = (
-        (PolyTerm, Polynomial.from_coefficients(poly, var)),
-        (RatTerm, RF(num, den, var)),
+        RationalFunction.from_polynomial(Polynomial.from_coefficients(poly, var)),
+        RF(num, den, var),
     )
-    for term_type, payload in payloads:
-        G = back_substitute(Antiderivative((term_type(payload),), var), sub)
+    for payload in payloads:
+        G = back_substitute(Antiderivative((RatTerm(payload),), var), sub)
         expected = horner_composition(payload, sub.back_sub)
-        assert G.terms == (() if expected.is_zero() else (term_type(expected),))
+        assert G.terms == (() if expected.is_zero() else (RatTerm(expected),))
