@@ -1,12 +1,13 @@
 """Exact antiderivatives of univariate rational functions.
 
-Pipeline: Hermite reduction strips repeated denominator factors into an
-explicit rational part, the polynomial quotient of the squarefree remainder
-is integrated into that same rational part, and partial fractions over the
-remainder produce log terms (rational linear factors) and log/atan pairs
-(one rational-rootless quadratic whose completed square has a rational side
-length).  An :class:`Antiderivative` therefore holds at most one
-:class:`RatTerm`, then its logs and atans.
+Pipeline: Hermite reduction factors the denominator once into squarefree
+powers and strips each repeated factor into an explicit, proper rational
+part (Bronstein's quadratic reduction); the polynomial quotient of the
+squarefree remainder is integrated into that same rational part, and
+partial fractions over the remainder produce log terms (rational linear
+factors) and log/atan pairs (one rational-rootless quadratic whose completed
+square has a rational side length).  An :class:`Antiderivative` therefore
+holds at most one :class:`RatTerm`, then its logs and atans.
 
 The coefficient field never leaves the rationals.  A quadratic such as
 t^2 + 3 would need atan(t/sqrt(3))/sqrt(3) wherever its atan coefficient is
@@ -182,39 +183,35 @@ def make_antiderivative(terms: list[Term], variable: str) -> Antiderivative:
 def hermite_reduce(f: RationalFunction) -> tuple[RationalFunction, RationalFunction]:
     """Split f = d/du(rational part) + remainder, remainder squarefree below.
 
-    Iteratively lowers each repeated denominator factor P^m: writing the
-    local numerator as B P' + C P, the B P'/P^m piece is the derivative of
-    -B/((m-1) P^(m-1)) plus a lower-multiplicity leftover.
+    Bronstein's quadratic Hermite reduction (*Symbolic Integration I*,
+    section 2.2): the denominator is factored once, D = prod V_i^i.  For each
+    V of multiplicity i >= 2, with U = D/V^i, one extended gcd gives
+    s*U*V' = 1 mod V; then for j = i-1 down to 1 the numerator splits as
+    A = -j*B*U*V' + (multiple of V) with deg B < deg V, B/V^j joins the
+    rational part, and A/(U*V^j) is what is left.  The pieces B/V^j of one
+    factor are summed over V^(i-1) and normalized once.  Every piece is
+    proper, so the rational part is proper, which makes it unique.
     """
     var = f.var
     rational_part = RationalFunction.constant(0, var)
-    current = f
-    while True:
-        den = current.den
-        if den.is_constant():
-            break
-        _, factors = squarefree_factorization(den)
-        repeated = next(((p, m) for p, m in factors if m >= 2), None)
-        if repeated is None:
-            break
-        P, m = repeated
-        Pm = P**m
-        Q = den.exact_div(Pm)
-        N = current.num
-        # split N/(P^m Q) into pieces over Q and over P^m
-        _, sigma, tau = poly_xgcd(Pm, Q)
-        E, A = divmod(N * tau, Pm)
-        over_q = ratfunc_normalize(N * sigma + E * Q, Q)
-        # write A = B P' + C P with deg B < deg P (P squarefree)
-        _, inv, _ = poly_xgcd(P.derivative(), P)
-        B = (A * inv) % P
-        C = (A - B * P.derivative()).exact_div(P)
-        rational_part = rational_part + ratfunc_normalize(-B, (m - 1) * P ** (m - 1))
-        leftover = ratfunc_normalize(
-            B.derivative() * Fraction(1, m - 1) + C, P ** (m - 1)
-        )
-        current = over_q + leftover
-    return rational_part, current
+    _, factors = squarefree_factorization(f.den)
+    A, D = f.num, f.den
+    for V, i in factors:
+        if i < 2:
+            continue
+        U = D.exact_div(V**i)
+        UdV = U * V.derivative()
+        _, s, _ = poly_xgcd(UdV, V)
+        pieces = Polynomial.zero(var)
+        Vpow = Polynomial.constant(1, var)
+        for j in range(i - 1, 0, -1):
+            B = ((A % V) * s % V) * Fraction(-1, j)
+            pieces = pieces + B * Vpow
+            Vpow = Vpow * V
+            A = (A + j * B * UdV).exact_div(V) - U * B.derivative()
+        rational_part = rational_part + ratfunc_normalize(pieces, Vpow)
+        D = U * V
+    return rational_part, ratfunc_normalize(A, D)
 
 
 # ---------------------------------------------------------------------------

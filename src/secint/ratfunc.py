@@ -1,9 +1,12 @@
 """Exact univariate polynomial and rational-function arithmetic.
 
-Coefficients are ``fractions.Fraction`` throughout: every operation in the
-symbolic pipeline is exact, so gcd cancellation and partial fractions are
-reliable.  No floating point enters here; evaluation at a float argument is
-the only place floats appear, and that is the caller's choice.
+Coefficients are ``fractions.Fraction`` at every interface: every operation
+in the symbolic pipeline is exact, so gcd cancellation and partial fractions
+are reliable.  Inside :func:`poly_gcd` the work is done on primitive integer
+coefficient lists, which avoids the coefficient swell of Euclid over Q, and
+only the monic result is turned back into Fractions.  No floating point
+enters here; evaluation at a float argument is the only place floats appear,
+and that is the caller's choice.
 
 Canonical forms
     Polynomial        trailing zero coefficients stripped; the zero
@@ -236,16 +239,56 @@ def _coerce_poly(value: Polynomial | CoeffLike, var: str) -> Polynomial:
     return Polynomial.constant(value, var)
 
 
-def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
-    """Monic greatest common divisor by the Euclidean algorithm.
+def _primitive_ints(p: Polynomial) -> list[int]:
+    """Ascending integer coefficients of p with denominators cleared and
+    content removed; the zero polynomial gives the empty list."""
+    if p.is_zero():
+        return []
+    scale = math.lcm(*(c.denominator for c in p.coefficients))
+    ints = [c.numerator * (scale // c.denominator) for c in p.coefficients]
+    content = math.gcd(*ints)
+    return [c // content for c in ints]
 
-    gcd(p, 0) is monic(p); gcd(0, 0) is 0.
+
+def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
+    """Monic greatest common divisor by the primitive pseudo-remainder
+    sequence over the integers (Knuth, TAOCP vol. 2, section 4.6.1).
+
+    Both arguments are scaled to primitive integer polynomials; each step
+    takes the pseudo-remainder and divides out its content, so every
+    remainder in the sequence is a primitive integer polynomial and no
+    Fraction is built until the result is made monic.  gcd(p, 0) is monic(p); gcd(0, 0)
+    is 0.
     """
-    a, b = p, _coerce_poly(q, p.var)
-    a._joined_var(b)
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic()
+    q = _coerce_poly(q, p.var)
+    var = p._joined_var(q)
+    a, b = _primitive_ints(p), _primitive_ints(q)
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        if len(b) == 1:
+            return Polynomial.constant(1, var)
+        lb, nb = b[-1], len(b)
+        while len(a) >= nb:
+            # a <- (lb/g) a - (la/g) u^shift b cancels the leading term
+            g = math.gcd(a[-1], lb)
+            ka, kb = lb // g, a[-1] // g
+            shift = len(a) - nb
+            if ka != 1:
+                a = [ka * c for c in a]
+            for j, c in enumerate(b, shift):
+                a[j] -= kb * c
+            a.pop()
+            while a and a[-1] == 0:
+                a.pop()
+        if a:
+            content = math.gcd(*a)
+            a = [c // content for c in a]
+        a, b = b, a
+    if not a:
+        return Polynomial.zero(var)
+    lead = a[-1]
+    return Polynomial(tuple(Fraction(c, lead) for c in a), var)
 
 
 def poly_xgcd(p: Polynomial, q: Polynomial) -> tuple[Polynomial, Polynomial, Polynomial]:
@@ -325,10 +368,7 @@ def rational_roots(p: Polynomial) -> list[Fraction]:
         work = work.exact_div(Polynomial.variable(p.var))
     if work.degree < 1:
         return sorted(roots)
-    scale = math.lcm(*(c.denominator for c in work.coefficients))
-    ints = [int(c * scale) for c in work.coefficients]
-    content = math.gcd(*(abs(c) for c in ints if c != 0))
-    ints = [c // content for c in ints]
+    ints = _primitive_ints(work)
     candidates = {
         Fraction(sign * num, den)
         for num in _divisors(ints[0])

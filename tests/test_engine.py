@@ -161,6 +161,23 @@ def test_auto_answers_high_secant_powers(k, method, rendered):
     assert symbolic_derivative(report.antiderivative) == r
 
 
+# deep powers, where Hermite reduction and the gcds it calls dominate
+@pytest.mark.parametrize(
+    "text, method, terms",
+    [
+        ("sin(x)^30", "gregory", 2),
+        ("sec(x)^30", "gregory", 1),
+        ("1/(5+3*cos(x))^14", "gregory", 2),
+    ],
+)
+def test_auto_answers_deep_powers(text, method, terms):
+    r = parse_trig(text)
+    report = integrate_trig(r, "auto")
+    assert report.method.value == method
+    assert len(report.antiderivative.terms) == terms
+    assert symbolic_derivative(report.antiderivative) == r
+
+
 def test_exact_certificate_gates_every_result(monkeypatch):
     original = engine.back_substitute
 

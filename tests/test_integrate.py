@@ -5,7 +5,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from secint import integrate
 from secint.errors import IrrationalAtanScale, UnsupportedDenominator
 from secint.integrate import (
     AtanTerm,
@@ -21,7 +24,14 @@ from secint.integrate import (
     partial_fractions,
     symbolic_derivative,
 )
-from secint.ratfunc import Polynomial, RationalFunction, ratfunc_normalize
+from secint.ratfunc import (
+    Polynomial,
+    RationalFunction,
+    poly_gcd,
+    poly_xgcd,
+    ratfunc_normalize,
+    squarefree_factorization,
+)
 
 
 def P(*coeffs, var="u"):
@@ -78,10 +88,77 @@ def test_hermite_identity_holds(num, den):
     rat, rem = hermite_reduce(f)
     assert rat.derivative() + rem == f
     # remainder denominator is squarefree
-    from secint.ratfunc import poly_gcd
-
     g = poly_gcd(rem.den, rem.den.derivative())
     assert g.is_constant()
+
+
+def iterative_hermite(f):
+    """Reference: re-factor the whole denominator, lower one repeated factor
+    P^m to P^(m-1) through A = B P' + C P, repeat."""
+    rational_part = RationalFunction.constant(0, f.var)
+    current = f
+    while not current.den.is_constant():
+        _, factors = squarefree_factorization(current.den)
+        repeated = next(((p, m) for p, m in factors if m >= 2), None)
+        if repeated is None:
+            break
+        P, m = repeated
+        Pm = P**m
+        Q = current.den.exact_div(Pm)
+        N = current.num
+        _, sigma, tau = poly_xgcd(Pm, Q)
+        E, A = divmod(N * tau, Pm)
+        over_q = ratfunc_normalize(N * sigma + E * Q, Q)
+        _, inv, _ = poly_xgcd(P.derivative(), P)
+        B = (A * inv) % P
+        C = (A - B * P.derivative()).exact_div(P)
+        rational_part = rational_part + ratfunc_normalize(-B, (m - 1) * P ** (m - 1))
+        leftover = ratfunc_normalize(B.derivative() * Fraction(1, m - 1) + C, P ** (m - 1))
+        current = over_q + leftover
+    return rational_part, current
+
+
+small_fractions = st.builds(
+    Fraction, st.integers(min_value=-4, max_value=4), st.integers(min_value=1, max_value=3)
+)
+
+
+def nonzero_polys(max_degree):
+    return (
+        st.lists(small_fractions, min_size=1, max_size=max_degree + 1)
+        .map(Polynomial.from_coefficients)
+        .filter(lambda p: not p.is_zero())
+    )
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.lists(small_fractions, max_size=8).map(Polynomial.from_coefficients),
+    nonzero_polys(2),
+    nonzero_polys(2),
+    nonzero_polys(1),
+)
+def test_hermite_invariants(n, p, q, r):
+    f = ratfunc_normalize(n, p * q**2 * r**3)
+    rat, rem = hermite_reduce(f)
+    assert rat.derivative() + rem == f
+    assert rat.num.degree < rat.den.degree
+    assert poly_gcd(rem.den, rem.den.derivative()).is_constant()
+    assert (rat, rem) == iterative_hermite(f)
+
+
+def test_hermite_factors_the_denominator_once(monkeypatch):
+    calls = []
+
+    def counted(p):
+        calls.append(p)
+        return squarefree_factorization(p)
+
+    monkeypatch.setattr(integrate, "squarefree_factorization", counted)
+    f = RF((1, 2), P(1, 0, 1) ** 3 * P(0, 0, 1))  # (1+2u)/((u^2+1)^3 u^2)
+    rat, rem = hermite_reduce(f)
+    assert rat.derivative() + rem == f
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

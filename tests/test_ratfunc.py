@@ -83,11 +83,21 @@ def test_composition():
 # gcd / factorization  [DERIVED: hand-checked products]
 
 
+def euclid_gcd(p, q):
+    """Reference: monic gcd by Euclid's algorithm over Q."""
+    a, b = p, q
+    while not b.is_zero():
+        a, b = b, a % b
+    return a.monic()
+
+
 def test_gcd_cases():
     assert poly_gcd(P(-1, 0, 1), P(-1, 1)) == P(-1, 1)  # u^2-1, u-1
     assert poly_gcd(P(1, 0, 1, var="t"), P(1, 0, -1, var="t")) == P(1, var="t")
-    assert poly_gcd(P(), P()).is_zero()
+    assert poly_gcd(P(), P()) == P()
     assert poly_gcd(P(0, 4), P()) == P(0, 1)  # gcd with zero is the monic part
+    assert poly_gcd(P(), P(Fraction(3, 2), 6)) == P(Fraction(1, 4), 1)
+    assert poly_gcd(P(2, 0, 3, var="t"), P(7, var="t")) == P(1, var="t")
 
 
 def test_xgcd_identity():
@@ -207,6 +217,27 @@ def test_gcd_divides_both(p, q):
     assert (p % g).is_zero()
     assert (q % g).is_zero()
     assert g.leading_coefficient == 1
+
+
+wide_fractions = st.builds(
+    Fraction,
+    st.integers(min_value=-10**12, max_value=10**12),
+    st.integers(min_value=1, max_value=10**12),
+)
+
+gcd_polys = st.one_of(
+    polys,
+    st.builds(
+        lambda cs: Polynomial.from_coefficients(cs),
+        st.lists(wide_fractions, min_size=0, max_size=5),
+    ),
+)
+
+
+@settings(deadline=None)
+@given(gcd_polys, gcd_polys, gcd_polys)
+def test_gcd_matches_euclid(p, q, r):
+    assert poly_gcd(p * r, q * r) == euclid_gcd(p * r, q * r)
 
 
 @given(nonzero_polys, nonzero_polys)
