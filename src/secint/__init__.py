@@ -80,7 +80,6 @@ from .substitution import (
     Substitution,
     SubstitutionName,
     SubstitutionResult,
-    VALIDITY,
     apply_substitution,
     back_substitute,
     builtin_substitutions,
@@ -127,7 +126,6 @@ __all__ = [
     "TrigPolynomial",
     "TrigRational",
     "UnsupportedDenominator",
-    "VALIDITY",
     "VerificationDomain",
     "ZeroParameter",
     "apply_substitution",

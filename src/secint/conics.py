@@ -4,8 +4,12 @@ Projecting the circle x^2 + y^2 = 1 from the point B = (-1, 0) onto the
 y-axis sends a rational slope t to a rational point; projecting from
 D = (0, 1) gives a second parametrization with parameter s; projecting the
 hyperbola x^2 - y^2 = 1 from its point at infinity along y = -x gives a
-third with parameter u.  The parameters are linked: s = u, v = u/2, and
-s = (1+t)/(1-t).
+third with parameter u.  Each projection is written once here, as the conic
+point in rational functions of its parameter (:data:`CIRCLE_FROM_B`,
+:data:`CIRCLE_FROM_D`, :data:`HYPERBOLA_FROM_PPLUS`); the point functions
+evaluate those maps, and :mod:`secint.substitution` builds its
+parametrizations of sin and cos from them.  The parameters are linked:
+s = u, v = u/2, and s = (1+t)/(1-t).
 
 Clearing denominators in the circle parametrization turns a reduced
 fraction a/b into a Pythagorean triple, and the slope construction
@@ -25,6 +29,7 @@ from .errors import (
     SingularPoint,
     ZeroParameter,
 )
+from .ratfunc import RationalFunction
 
 
 @dataclass(frozen=True)
@@ -92,31 +97,43 @@ class ConicParameter:
     value: Fraction
 
 
-def circle_from_B(t: Fraction) -> RationalPoint:
-    """Circle point for slope t of the line through B = (-1, 0).
+_t = RationalFunction.variable("t")
+_s = RationalFunction.variable("s")
+_u = RationalFunction.variable("u")
 
-    ((1-t^2)/(1+t^2), 2t/(1+t^2)); the center B itself is never produced.
-    """
-    t = Fraction(t)
-    den = 1 + t * t
-    return RationalPoint((1 - t * t) / den, 2 * t / den)
+# the line through B = (-1, 0) with slope t
+CIRCLE_FROM_B = ((1 - _t**2) / (1 + _t**2), 2 * _t / (1 + _t**2))
+# the line from D = (0, 1) through the point (s, 0) of the x-axis
+CIRCLE_FROM_D = (2 * _s / (_s**2 + 1), (_s**2 - 1) / (_s**2 + 1))
+# the line x + y = u, whose direction is the point at infinity along y = -x
+HYPERBOLA_FROM_PPLUS = ((_u**2 + 1) / (2 * _u), (_u**2 - 1) / (2 * _u))
+
+
+def _point(projection: tuple[RationalFunction, RationalFunction], p: Fraction) -> RationalPoint:
+    x, y = projection
+    return RationalPoint(x(Fraction(p)), y(Fraction(p)))
+
+
+def circle_from_B(t: Fraction) -> RationalPoint:
+    """Circle point for slope t of the line through B = (-1, 0)
+    (:data:`CIRCLE_FROM_B`); the center B itself is never produced."""
+    return _point(CIRCLE_FROM_B, t)
 
 
 def circle_from_D(s: Fraction) -> RationalPoint:
-    """Circle point for the projection from D = (0, 1):
-    (2s/(s^2+1), (s^2-1)/(s^2+1)); D itself is never produced."""
-    s = Fraction(s)
-    den = s * s + 1
-    return RationalPoint(2 * s / den, (s * s - 1) / den)
+    """Circle point for the projection from D = (0, 1)
+    (:data:`CIRCLE_FROM_D`); D itself is never produced."""
+    return _point(CIRCLE_FROM_D, s)
 
 
 def hyperbola_from_Pplus(u: Fraction) -> RationalPoint:
-    """Right-branch hyperbola point ((u^2+1)/(2u), (u^2-1)/(2u)) from the
-    projection centered at the point at infinity along y = -x."""
+    """Hyperbola point for the projection centered at the point at infinity
+    along y = -x (:data:`HYPERBOLA_FROM_PPLUS`): u > 0 gives the right
+    branch, u < 0 the left one (u = -1 gives (-1, 0))."""
     u = Fraction(u)
     if u == 0:
         raise ZeroParameter("hyperbola projection is undefined at u = 0")
-    return RationalPoint((u * u + 1) / (2 * u), (u * u - 1) / (2 * u))
+    return _point(HYPERBOLA_FROM_PPLUS, u)
 
 
 def triple_from_parameter(a: int, b: int) -> PythagoreanTriple:

@@ -15,15 +15,16 @@ Barrow, then Weierstrass, keeps every verified success, and returns the one
 with the fewest antiderivative terms (earlier method wins ties).  Gregory
 comes first because it tends to produce the one-log answers; Weierstrass
 last because its half-angle denominators most often split into extra
-partial-fraction terms.  Gregory and modified Weierstrass are one
-parametrization under two parameter names, so auto mode runs the pipeline
-once for the pair and reports its outcome under both names; a refusal
-message then names Gregory's parameter u.
+partial-fraction terms.  Auto mode keys each pipeline run by the
+substitution's ``back_sub``, the parameter as a function of x: the maps are
+its inverse, so equal ``back_sub`` means equal maps up to the parameter's
+name.  Gregory and modified Weierstrass share theirs, sec x + tan x, so
+auto mode runs the pipeline once for the pair and reports its outcome under
+both names; a refusal message then names Gregory's parameter u.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -41,7 +42,7 @@ from .substitution import (
     back_substitute,
     get_substitution,
 )
-from .trig import TrigRational
+from .trig import TrigRational, eval_trig
 
 AUTO = "auto"
 
@@ -53,7 +54,8 @@ _AUTO_ORDER = (
     SubstitutionName.WEIERSTRASS,
 )
 
-# sample evaluations this close to a pole are rejected and the point nudged
+# a log argument or parameter-space denominator this close to zero at a
+# sample point is rejected and the point nudged
 _POLE_GUARD = 1e-6
 _MAX_NUDGES = 100
 # step of the fourth-order finite-difference stencil in diff_check
@@ -87,14 +89,6 @@ class IntegrationReport:
     failures: tuple[tuple[str, str], ...] = ()
 
 
-def _eval_integrand(R: TrigRational, x: float) -> float:
-    c = math.cos(x)
-    denv = R.den(c)
-    if abs(denv) < _POLE_GUARD:
-        raise SingularPoint(f"integrand pole too close to x = {x!r}")
-    return R.num.eval(c, math.sin(x)) / denv
-
-
 def _sample(value: Callable[[float], float], dom: VerificationDomain) -> list[float]:
     """``value`` at every grid point of ``dom``.
 
@@ -125,13 +119,13 @@ def _sample(value: Callable[[float], float], dom: VerificationDomain) -> list[fl
 def diff_check(F: Antiderivative, R: TrigRational, dom: VerificationDomain) -> float:
     """Max over the sample grid of |stencil(F) - R| / max(1, |R|).
 
-    A numeric cross-check, independent of the exact certificate.  A point
-    is nudged (see :func:`_sample`) when the integrand's denominator or a
-    log argument of F comes within 1e-6 of zero there, or when a
-    parameter-space payload's denominator does.  Poles of F's x-space
-    payloads (its rational part and its log and atan arguments) are guarded
-    only by :func:`secint.trig.eval_trig`'s 1e-12, so a stencil point that
-    lands near one of them is not nudged.
+    A numeric cross-check, independent of the exact certificate.  The
+    integrand and F's x-space payloads (its rational part and its log and
+    atan arguments) are evaluated by :func:`secint.trig.eval_trig`, whose
+    pole guard is an absolute 1e-12 on the cos-polynomial denominator.  A
+    point is nudged (see :func:`_sample`) when one of those denominators
+    comes within 1e-12 of zero there, when a log argument of F comes within
+    1e-6 of zero, or when a parameter-space payload's denominator does.
     """
     h = _STENCIL_STEP
 
@@ -142,7 +136,7 @@ def diff_check(F: Antiderivative, R: TrigRational, dom: VerificationDomain) -> f
             - 8 * eval_antiderivative(F, x - h, _POLE_GUARD)
             + eval_antiderivative(F, x - 2 * h, _POLE_GUARD)
         ) / (12 * h)
-        rv = _eval_integrand(R, x)
+        rv = eval_trig(R, x)
         return abs(stencil - rv) / max(1.0, abs(rv))
 
     return max(_sample(point_error, dom))
@@ -164,13 +158,6 @@ def constant_difference_check(
     )
     constant = symbolic_derivative(F1) == symbolic_derivative(F2)
     return constant, sum(diffs) / len(diffs)
-
-
-def _parametrization_key(sub: Substitution) -> tuple:
-    """What the pipeline's outcome depends on besides the integrand: the
-    maps with the parameter renamed to one common name, and the map back."""
-    maps = (sub.cos_expr, sub.sin_expr, sub.dx_expr)
-    return tuple(None if e is None else e.rename("p") for e in maps) + (sub.back_sub,)
 
 
 def _run_pipeline(
@@ -208,14 +195,13 @@ def integrate_trig(
     else:
         order = [get_substitution(method)]
 
-    outcomes: dict[tuple, Union[Antiderivative, SecintError]] = {}
+    outcomes: dict[TrigRational, Union[Antiderivative, SecintError]] = {}
     successes: list[tuple[Substitution, Antiderivative]] = []
     failures: list[tuple[str, SecintError]] = []
     for sub in order:
-        key = _parametrization_key(sub)
-        if key not in outcomes:
-            outcomes[key] = _run_pipeline(R, sub)
-        outcome = outcomes[key]
+        if sub.back_sub not in outcomes:
+            outcomes[sub.back_sub] = _run_pipeline(R, sub)
+        outcome = outcomes[sub.back_sub]
         if isinstance(outcome, SecintError):
             failures.append((sub.name.value, outcome))
         else:

@@ -1,23 +1,27 @@
-"""The four secant substitutions as rational parametrizations.
+"""The four secant substitutions, built from the conic projections.
 
 Each substitution carries rational expressions for cos x, sin x and the
 differential factor in terms of its parameter, plus the parameter written
-back as an expression in x:
+back as an expression in x.  Three are projections of a conic, built from
+the maps of :mod:`secint.conics` and the projection's slope formula:
 
-* Weierstrass       t = tan(x/2), the circle projected from (-1, 0);
-* modified          s = tan(x/2 + pi/4), the circle projected from (0, 1);
-* Gregory           u = sec x + tan x, the hyperbola (sec, tan) projected
-                    from its point at infinity — the same rational maps as
-                    the modified substitution, kept separate on purpose;
+* Weierstrass       t = tan(x/2) = sin/(1+cos), the slope of the line from
+                    B = (-1, 0) (:data:`~secint.conics.CIRCLE_FROM_B`);
+* modified          s = tan(x/2 + pi/4) = cos/(1-sin), where the line from
+                    D = (0, 1) meets the x-axis (``CIRCLE_FROM_D``);
+* Gregory           u = sec x + tan x, x + y on the hyperbola (sec, tan)
+                    projected from its point at infinity along y = -x
+                    (``HYPERBOLA_FROM_PPLUS``), so cos = 1/x, sin = y/x;
 * Barrow            u = sin x, a structural rewrite rather than a
                     parametrization: it applies exactly when the integrand
                     is odd in cos x, so that after du = cos x dx the rest
                     is a function of sin alone.
 
-tan(x/2 + pi/4) and sec x + tan x are the same function of x, which is why
-the modified and Gregory columns coincide.  Both stay named substitutions
-here; :func:`secint.engine.integrate_trig` recognises that their maps agree
-and runs the shared pipeline once in auto mode.
+The differential factor is derived: cos' = -sin * x' and sin' = cos * x',
+so dx = cos * sin' - sin * cos'.  tan(x/2 + pi/4) and sec x + tan x are the
+same function, so modified and Gregory share ``back_sub`` and their maps
+agree up to the parameter's name; :func:`secint.engine.integrate_trig`
+keys its pipeline runs by ``back_sub`` and runs the pair once.
 
 The substitutions are immutable and built once, at import.
 """
@@ -25,18 +29,15 @@ The substitutions are immutable and built once, at import.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 from . import trig
+from .conics import CIRCLE_FROM_B, CIRCLE_FROM_D, HYPERBOLA_FROM_PPLUS
 from .errors import DenominatorVanishesIdentically, NotApplicable
 from .integrate import Antiderivative, AtanTerm, LogTerm, RatTerm, make_antiderivative
 from .ratfunc import Polynomial, RationalFunction, ratfunc_normalize
 from .trig import TrigPolynomial, TrigRational, is_odd_in_cos
-
-# all four parametrizations are regular here; sec's poles sit at the ends
-VALIDITY = (-math.pi / 2 + 0.1, math.pi / 2 - 0.1)
 
 
 class SubstitutionName(str, enum.Enum):
@@ -48,8 +49,9 @@ class SubstitutionName(str, enum.Enum):
 
 @dataclass(frozen=True)
 class Substitution:
-    """One parametrization: maps for cos/sin/dx (None for Barrow's
-    structural path) and the parameter as a function of x."""
+    """One parametrization: maps for cos/sin/dx and the parameter as a
+    function of x.  Barrow's structural path has no cos or dx map (None);
+    its ``sin_expr`` is the parameter u itself."""
 
     name: SubstitutionName
     param: str
@@ -57,7 +59,6 @@ class Substitution:
     sin_expr: Optional[RationalFunction]
     dx_expr: Optional[RationalFunction]
     back_sub: TrigRational
-    validity: tuple[float, float] = VALIDITY
 
 
 @dataclass(frozen=True)
@@ -66,77 +67,40 @@ class SubstitutionResult:
     substitution: Substitution
 
 
-def _rf(num_coeffs, den_coeffs, var: str) -> RationalFunction:
-    return ratfunc_normalize(
-        Polynomial.from_coefficients(num_coeffs, var),
-        Polynomial.from_coefficients(den_coeffs, var),
+def _projected(
+    name: SubstitutionName, cos: RationalFunction, sin: RationalFunction, back_sub: TrigRational
+) -> Substitution:
+    """The substitution whose point (cos, sin) on the circle is given in its
+    parameter, and whose parameter is ``back_sub`` as a function of x."""
+    return Substitution(
+        name=name,
+        param=cos.var,
+        cos_expr=cos,
+        sin_expr=sin,
+        dx_expr=cos * sin.derivative() - sin * cos.derivative(),
+        back_sub=back_sub,
     )
 
 
-def _circle_maps(var: str) -> tuple[RationalFunction, RationalFunction, RationalFunction]:
-    """cos, sin, dx for the projection from (0, 1): the modified family."""
+def _builtin() -> tuple[Substitution, ...]:
+    cos, sin = TrigRational.cos(), TrigRational.sin()
+    hx, hy = HYPERBOLA_FROM_PPLUS
     return (
-        _rf((0, 2), (1, 0, 1), var),        # 2p/(p^2+1)
-        _rf((-1, 0, 1), (1, 0, 1), var),    # (p^2-1)/(p^2+1)
-        _rf((2,), (1, 0, 1), var),          # 2/(p^2+1)
+        _projected(SubstitutionName.WEIERSTRASS, *CIRCLE_FROM_B, sin / (1 + cos)),
+        _projected(SubstitutionName.MODIFIED_WEIERSTRASS, *CIRCLE_FROM_D, cos / (1 - sin)),
+        _projected(SubstitutionName.GREGORY, 1 / hx, hy / hx, (1 + sin) / cos),
+        Substitution(
+            name=SubstitutionName.BARROW,
+            param="u",
+            cos_expr=None,
+            sin_expr=RationalFunction.variable("u"),
+            dx_expr=None,
+            back_sub=sin,
+        ),
     )
 
 
-def _weierstrass() -> Substitution:
-    var = "t"
-    sin = TrigRational.sin()
-    cos = TrigRational.cos()
-    return Substitution(
-        name=SubstitutionName.WEIERSTRASS,
-        param=var,
-        cos_expr=_rf((1, 0, -1), (1, 0, 1), var),
-        sin_expr=_rf((0, 2), (1, 0, 1), var),
-        dx_expr=_rf((2,), (1, 0, 1), var),
-        back_sub=sin / (1 + cos),  # tan(x/2)
-    )
-
-
-def _modified_weierstrass() -> Substitution:
-    cos_e, sin_e, dx_e = _circle_maps("s")
-    sec_plus_tan = (1 + TrigRational.sin()) / TrigRational.cos()
-    return Substitution(
-        name=SubstitutionName.MODIFIED_WEIERSTRASS,
-        param="s",
-        cos_expr=cos_e,
-        sin_expr=sin_e,
-        dx_expr=dx_e,
-        back_sub=sec_plus_tan,  # tan(x/2 + pi/4)
-    )
-
-
-def _gregory() -> Substitution:
-    cos_e, sin_e, dx_e = _circle_maps("u")
-    sec_plus_tan = (1 + TrigRational.sin()) / TrigRational.cos()
-    return Substitution(
-        name=SubstitutionName.GREGORY,
-        param="u",
-        cos_expr=cos_e,
-        sin_expr=sin_e,
-        dx_expr=dx_e,
-        back_sub=sec_plus_tan,
-    )
-
-
-def _barrow() -> Substitution:
-    return Substitution(
-        name=SubstitutionName.BARROW,
-        param="u",
-        cos_expr=None,
-        sin_expr=RationalFunction.variable("u"),
-        dx_expr=None,
-        back_sub=TrigRational.sin(),
-    )
-
-
-_BUILTIN = {
-    sub.name: sub
-    for sub in (_weierstrass(), _modified_weierstrass(), _gregory(), _barrow())
-}
+_BUILTIN = {sub.name: sub for sub in _builtin()}
 
 
 def builtin_substitutions() -> list[Substitution]:

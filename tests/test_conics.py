@@ -20,6 +20,7 @@ from secint.conics import (
     triple_from_parameter,
 )
 from secint.errors import DegenerateParameter, PoleInConversion, SingularPoint, ZeroParameter
+from secint.substitution import get_substitution
 
 F = Fraction
 
@@ -43,6 +44,8 @@ def test_circle_from_D_pinned_points():
 def test_hyperbola_pinned_points():
     assert hyperbola_from_Pplus(F(1)) == RationalPoint(F(1), F(0))
     assert hyperbola_from_Pplus(F(2)) == RationalPoint(F(5, 4), F(3, 4))
+    # negative parameters give the left branch
+    assert hyperbola_from_Pplus(F(-1)) == RationalPoint(F(-1), F(0))
     with pytest.raises(ZeroParameter):
         hyperbola_from_Pplus(F(0))
 
@@ -59,6 +62,18 @@ def test_circle_points_exactly_on_circle(t):
 def test_hyperbola_points_exactly_on_hyperbola(u):
     p = hyperbola_from_Pplus(u)
     assert p.x * p.x - p.y * p.y == 1
+
+
+@given(rational_params)
+def test_points_agree_with_the_substitution_maps(p):
+    w = get_substitution("weierstrass")
+    assert circle_from_B(p) == RationalPoint(w.cos_expr(p), w.sin_expr(p))
+    m = get_substitution("modified-weierstrass")
+    assert circle_from_D(p) == RationalPoint(m.cos_expr(p), m.sin_expr(p))
+    if p != 0:
+        g = get_substitution("gregory")
+        cos, sin = g.cos_expr(p), g.sin_expr(p)
+        assert hyperbola_from_Pplus(p) == RationalPoint(1 / cos, sin / cos)
 
 
 def test_on_curve_constructors_validate():

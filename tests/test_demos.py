@@ -7,16 +7,7 @@ import pytest
 DEMO_DIR = pathlib.Path(__file__).resolve().parent.parent / "demos"
 
 
-@pytest.mark.parametrize(
-    "name",
-    [
-        "secant_four_ways.py",
-        "rational_integration.py",
-        "pythagorean_triples.py",
-        "conic_parametrizations.py",
-        "mercator_map.py",
-    ],
-)
+@pytest.mark.parametrize("name", [path.name for path in sorted(DEMO_DIR.glob("*.py"))])
 def test_demo_runs_clean(name):
     proc = subprocess.run(
         [sys.executable, str(DEMO_DIR / name)],

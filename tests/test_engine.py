@@ -239,6 +239,15 @@ def test_diff_check_nudges_around_singularity():
     assert err < 1e-6
 
 
+@pytest.mark.parametrize("k", [10, 12])
+def test_diff_check_high_secant_powers(k):
+    # cos(x)^k falls below 1e-6 near the ends of DOM; the integrand's own
+    # pole guard is eval_trig's 1e-12, so these points need no nudge
+    r = SEC**k
+    report = integrate_trig(r, "gregory")
+    assert diff_check(report.antiderivative, r, DOM) < 1e-9
+
+
 def test_domain_validation():
     with pytest.raises(ValueError):
         VerificationDomain(1.0, -1.0)
