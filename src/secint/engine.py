@@ -122,10 +122,10 @@ def diff_check(F: Antiderivative, R: TrigRational, dom: VerificationDomain) -> f
     A numeric cross-check, independent of the exact certificate.  The
     integrand and F's x-space payloads (its rational part and its log and
     atan arguments) are evaluated by :func:`secint.trig.eval_trig`, whose
-    pole guard is an absolute 1e-12 on the cos-polynomial denominator.  A
-    point is nudged (see :func:`_sample`) when one of those denominators
-    comes within 1e-12 of zero there, when a log argument of F comes within
-    1e-6 of zero, or when a parameter-space payload's denominator does.
+    pole guard is a zero of the cos-polynomial denominator within about
+    1e-12 in cos x.  A point is nudged (see :func:`_sample`) when that guard
+    trips, when a log argument of F comes within 1e-6 of zero, or when a
+    parameter-space payload's denominator does.
     """
     h = _STENCIL_STEP
 

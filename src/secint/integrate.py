@@ -90,12 +90,14 @@ class Antiderivative:
 
 
 def leading_sign(value: Union[Polynomial, Payload]) -> int:
-    """Sign of the first coefficient the renderer prints for ``value``.
+    """The sign that picks one of ``value`` and ``-value`` as an
+    absolute-value log argument.
 
-    Univariate polynomials render ascending up to degree 1 and descending
-    above; rational functions follow their numerator; trig expressions scan
-    the cos-part then the sin-part coefficients ascending (all three trig
-    rendering styles agree on which coefficient comes first).
+    Polynomials give the sign of their first nonzero coefficient ascending
+    up to degree 1 and of their leading coefficient above; rational
+    functions follow their numerator; trig expressions scan the cos-part
+    then the sin-part coefficients ascending.  It is not always the sign the
+    renderer prints first: ``u-1`` gives -1.
     """
     if isinstance(value, TrigRational):
         for c in value.num.p.coefficients + value.num.q.coefficients:
@@ -367,8 +369,9 @@ def eval_antiderivative(F: Antiderivative, x: float, singular_tol: float = 1e-12
     Raises :class:`SingularPoint` where a log argument is within
     ``singular_tol`` of zero, or where the denominator of a parameter-space
     (RationalFunction) payload is.  TrigRational payloads are evaluated by
-    :func:`secint.trig.eval_trig`, whose own pole guard is a fixed 1e-12 on
-    the cos-polynomial denominator, whatever ``singular_tol`` is.
+    :func:`secint.trig.eval_trig`, whose own pole guard is a zero of the
+    cos-polynomial denominator within about 1e-12 in cos x, whatever
+    ``singular_tol`` is.
     """
 
     def _num(payload) -> float:

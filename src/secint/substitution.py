@@ -14,11 +14,13 @@ the maps of :mod:`secint.conics` and the projection's slope formula:
                     (``HYPERBOLA_FROM_PPLUS``), so cos = 1/x, sin = y/x;
 * Barrow            u = sin x, a structural rewrite rather than a
                     parametrization: it applies exactly when the integrand
-                    is odd in cos x, so that after du = cos x dx the rest
-                    is a function of sin alone.
+                    R is odd in cos x, so that R dx = (R / cos x) du and
+                    R / cos x is a function of cos^2 = 1 - u^2 and sin = u.
 
 The differential factor is derived: cos' = -sin * x' and sin' = cos * x',
-so dx = cos * sin' - sin * cos'.  tan(x/2 + pi/4) and sec x + tan x are the
+so dx = cos * sin' - sin * cos'.  Both directions compose by one routine,
+:func:`_homogenized`: forward through (cos, sin) = (X/W, Y/W), back through
+``back_sub = B/C``, so each quotient is normalized once.  tan(x/2 + pi/4) and sec x + tan x are the
 same function, so modified and Gregory share ``back_sub`` and their maps
 agree up to the parameter's name; :func:`secint.engine.integrate_trig`
 keys its pipeline runs by ``back_sub`` and runs the pair once.
@@ -37,7 +39,7 @@ from .conics import CIRCLE_FROM_B, CIRCLE_FROM_D, HYPERBOLA_FROM_PPLUS
 from .errors import DenominatorVanishesIdentically, NotApplicable
 from .integrate import Antiderivative, AtanTerm, LogTerm, RatTerm, make_antiderivative
 from .ratfunc import Polynomial, RationalFunction, ratfunc_normalize
-from .trig import TrigPolynomial, TrigRational, is_odd_in_cos
+from .trig import TrigPolynomial, TrigRational, is_even_in_cos
 
 
 class SubstitutionName(str, enum.Enum):
@@ -71,7 +73,9 @@ def _projected(
     name: SubstitutionName, cos: RationalFunction, sin: RationalFunction, back_sub: TrigRational
 ) -> Substitution:
     """The substitution whose point (cos, sin) on the circle is given in its
-    parameter, and whose parameter is ``back_sub`` as a function of x."""
+    parameter, over one denominator, and whose parameter is ``back_sub``."""
+    if cos.den != sin.den:
+        raise ValueError(f"{name.value}: cos and sin maps have different denominators")
     return Substitution(
         name=name,
         param=cos.var,
@@ -116,58 +120,69 @@ def get_substitution(name: SubstitutionName | str) -> Substitution:
 def _barrow_integrand(R: TrigRational, var: str) -> RationalFunction:
     """Structural u = sin x rewrite for an integrand odd in cos.
 
-    Multiply numerator and denominator by D(-c) so the denominator
-    V(c) = D(c)D(-c) is even; oddness forces the numerator components to be
-    odd, so after factoring one c out as du = c dx everything depends on
-    c^2 = 1 - u^2 and s = u only.
+    R dx = W du with W = R / cos x and du = cos x dx.  R is odd in cos
+    exactly when W's canonical form ``(A + B*s)/D`` is even in c (see
+    :func:`secint.trig.is_even_in_cos`), so c^2 = 1 - u^2 and s = u turn W
+    into a rational function of u.
     """
-    neg_c = Polynomial.from_coefficients([0, -1], "c")
-    d_flip = R.den(neg_c)
-    w = R.num * TrigPolynomial.from_cos_polynomial(d_flip)
-    v = R.den * d_flip
-    # odd polynomials: only odd c-powers in w, only even in v
-    if any(c != 0 for c in w.p.coefficients[0::2]) or any(
-        c != 0 for c in w.q.coefficients[0::2]
-    ):
-        raise AssertionError("parity rewrite out of step with is_odd_in_cos")
-    a = Polynomial.from_coefficients(w.p.coefficients[1::2], var)
-    b = Polynomial.from_coefficients(w.q.coefficients[1::2], var)
-    v_even = Polynomial.from_coefficients(v.coefficients[0::2], var)
-    one_minus_u2 = Polynomial.from_coefficients([1, 0, -1], var)
-    u = Polynomial.variable(var)
-    num = a(one_minus_u2) + u * b(one_minus_u2)
-    return ratfunc_normalize(num, v_even(one_minus_u2))
+    W = R / TrigRational.cos()
+    if not is_even_in_cos(W):
+        raise NotApplicable("u = sin x applies only to integrands odd in cos x")
+    c2 = Polynomial.from_coefficients([1, 0, -1], var)
+    a, b, d = (
+        Polynomial.from_coefficients(poly.coefficients[0::2], var)(c2)
+        for poly in (W.num.p, W.num.q, W.den)
+    )
+    return ratfunc_normalize(a + Polynomial.variable(var) * b, d)
 
 
 def apply_substitution(R: TrigRational, sub: Substitution) -> SubstitutionResult:
     """Transform R(cos x, sin x) dx into a rational integrand in the
     parameter.  Barrow requires the integrand to be odd in cos and raises
-    :class:`NotApplicable` otherwise."""
+    :class:`NotApplicable` otherwise.
+
+    With (cos, sin) = (X/W, Y/W), R = (A + B*s)/D and m = max(deg A,
+    deg B + 1, deg D), the integrand is (hom(A, m) + Y*hom(B, m-1)) /
+    hom(D, m) * dx with hom(P, m) = W^m P(X/W): W^m cancels without a gcd.
+    """
     if sub.name is SubstitutionName.BARROW:
-        if not is_odd_in_cos(R):
-            raise NotApplicable(
-                "u = sin x applies only to integrands odd in cos x"
-            )
         return SubstitutionResult(_barrow_integrand(R, sub.param), sub)
-    num_rf = R.num.eval_rational(sub.cos_expr, sub.sin_expr)
-    den_rf = R.den(sub.cos_expr)
-    if not isinstance(den_rf, RationalFunction):
-        den_rf = RationalFunction.constant(den_rf, sub.param)
-    if den_rf.is_zero():
+    A, B, D = R.num.p, R.num.q, R.den
+    m = max(A.degree, B.degree + 1, D.degree)
+    X, Y, W = sub.cos_expr.num, sub.sin_expr.num, sub.cos_expr.den
+    w_powers = _powers(W, m)
+    num = _homogenized(A, m, X, w_powers)
+    if not B.is_zero():
+        num = num + Y * _homogenized(B, m - 1, X, w_powers)
+    den = _homogenized(D, m, X, w_powers)
+    if den.is_zero():
         raise DenominatorVanishesIdentically(
             "denominator vanishes identically along the parametrization"
         )
-    return SubstitutionResult(num_rf / den_rf * sub.dx_expr, sub)
+    dx = sub.dx_expr
+    return SubstitutionResult(ratfunc_normalize(num * dx.num, den * dx.den), sub)
+
+
+def _powers(w: Polynomial, m: int) -> list[Polynomial]:
+    """``[w^0, w^1, ..., w^m]``."""
+    out = [Polynomial.constant(1, w.var)]
+    for _ in range(m):
+        out.append(out[-1] * w)
+    return out
 
 
 def _homogenized(
-    poly: Polynomial, m: int, b: TrigPolynomial, c_powers: list[Polynomial]
-) -> TrigPolynomial:
-    """``sum n_k B^k C^(m-k)`` by Horner in B: ``C^m * poly(B/C)`` for
-    ``m >= deg poly``, given ``c_powers[j] = C^j`` for j up to m."""
-    acc = TrigPolynomial.zero()
+    poly: Polynomial, m: int, b: Polynomial | TrigPolynomial, w_powers: list[Polynomial]
+) -> Polynomial | TrigPolynomial:
+    """``sum n_k b^k w^(m-k)`` by Horner in b: ``w^m * poly(b/w)`` for
+    ``m >= deg poly``, given ``w_powers[j] = w^j`` for j up to m.  ``b`` is
+    a Polynomial (forward) or a TrigPolynomial (back-substitution)."""
+    acc = None
     for k in range(m, -1, -1):
-        acc = acc * b + TrigPolynomial.from_cos_polynomial(c_powers[m - k] * poly.coefficient(k))
+        term = w_powers[m - k] * poly.coefficient(k)
+        if isinstance(b, TrigPolynomial):
+            term = TrigPolynomial.from_cos_polynomial(term)
+        acc = term if acc is None else acc * b + term
     return acc
 
 
@@ -180,12 +195,10 @@ def _pull_back(payload: RationalFunction, back: TrigRational) -> TrigRational:
     """
     num, den = payload.num, payload.den
     m = max(num.degree, den.degree)
-    c_powers = [Polynomial.constant(1, back.den.var)]
-    for _ in range(m):
-        c_powers.append(c_powers[-1] * back.den)
+    w_powers = _powers(back.den, m)
     # looked up on the module so that a wrapper installed there sees the call
     return trig.canonicalize(
-        _homogenized(num, m, back.num, c_powers), _homogenized(den, m, back.num, c_powers)
+        _homogenized(num, m, back.num, w_powers), _homogenized(den, m, back.num, w_powers)
     )
 
 

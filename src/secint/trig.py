@@ -21,12 +21,7 @@ from fractions import Fraction
 from typing import Union
 
 from .errors import DenominatorVanishesOnCircle, SingularPoint
-from .ratfunc import (
-    CoeffLike,
-    Polynomial,
-    RationalFunction,
-    poly_gcd,
-)
+from .ratfunc import CoeffLike, Polynomial, poly_gcd
 
 COS_VAR = "c"
 
@@ -37,7 +32,6 @@ def _cpoly(*coeffs: CoeffLike) -> Polynomial:
 
 # s^2 rewrites to this polynomial in c.
 _ONE_MINUS_C2 = _cpoly(1, 0, -1)
-_NEG_C = _cpoly(0, -1)
 
 
 @dataclass(frozen=True)
@@ -50,10 +44,6 @@ class TrigPolynomial:
     @staticmethod
     def constant(value: CoeffLike) -> TrigPolynomial:
         return TrigPolynomial(_cpoly(value), _cpoly())
-
-    @staticmethod
-    def zero() -> TrigPolynomial:
-        return TrigPolynomial(_cpoly(), _cpoly())
 
     @staticmethod
     def cos() -> TrigPolynomial:
@@ -106,10 +96,6 @@ class TrigPolynomial:
     def conjugate(self) -> TrigPolynomial:
         return TrigPolynomial(self.p, -self.q)
 
-    def flip_cos(self) -> TrigPolynomial:
-        """Substitute c -> -c (the map x -> pi - x, fixing s)."""
-        return TrigPolynomial(self.p(_NEG_C), self.q(_NEG_C))
-
     def x_derivative(self) -> TrigPolynomial:
         """d/dx with c' = -s and s' = c.
 
@@ -124,21 +110,6 @@ class TrigPolynomial:
 
     def eval(self, c: float, s: float) -> float:
         return self.p(c) + self.q(c) * s
-
-    def eval_rational(self, cos_rf: RationalFunction, sin_rf: RationalFunction) -> RationalFunction:
-        """Compose with rational expressions for cos and sin."""
-        out = _as_rf(self.p(cos_rf), cos_rf.var)
-        if not self.q.is_zero():
-            out = out + _as_rf(self.q(cos_rf), cos_rf.var) * sin_rf
-        return out
-
-
-def _as_rf(value, var: str) -> RationalFunction:
-    if isinstance(value, RationalFunction):
-        return value
-    if isinstance(value, Polynomial):
-        return RationalFunction.from_polynomial(value)
-    return RationalFunction.constant(value, var)
 
 
 TrigLike = Union["TrigRational", TrigPolynomial, Polynomial, int, Fraction]
@@ -220,10 +191,6 @@ class TrigRational:
             return (TrigRational.constant(1) / self) ** (-n)
         return canonicalize(self.num**n, self.den**n)
 
-    def flip_cos(self) -> TrigRational:
-        """Canonical form of the expression with cos x replaced by -cos x."""
-        return canonicalize(self.num.flip_cos(), self.den(_NEG_C))
-
     def eval(self, x: float) -> float:
         return eval_trig(self, x)
 
@@ -293,13 +260,20 @@ def trig_derivative(R: TrigRational) -> TrigRational:
     return canonicalize(d_num, d * d)
 
 
+def is_even_in_cos(R: TrigRational) -> bool:
+    """Whether R is unchanged under cos x -> -cos x: whether A, B and D of
+    its canonical form (A + B*s)/D hold only even powers of c.  Canonical
+    forms are unique, and an odd D would make c divide A, B and D."""
+    return not any(any(poly.coefficients[1::2]) for poly in (R.num.p, R.num.q, R.den))
+
+
 def is_odd_in_cos(R: TrigRational) -> bool:
-    """Whether the expression changes sign under cos x -> -cos x.
+    """Whether R changes sign under cos x -> -cos x, i.e. R / cos x is even.
 
     This is the structural condition for integrating by u = sin x: odd
     expressions lose their remaining cos after du = cos x dx is factored out.
     """
-    return R.flip_cos() == -R
+    return is_even_in_cos(R / TrigRational.cos())
 
 
 def verify_log_derivative(f: TrigRational, u: TrigRational) -> bool:
@@ -313,12 +287,13 @@ def verify_log_derivative(f: TrigRational, u: TrigRational) -> bool:
 def eval_trig(R: TrigRational, x: float) -> float:
     """Double-precision value of R at x.
 
-    Raises :class:`SingularPoint` when the denominator at (cos x, sin x) is
-    smaller than 1e-12 in absolute value.
+    Raises :class:`SingularPoint` when c = cos x is within about 1e-12 of a
+    zero of the denominator D by the Newton step, |D(c)| <= 1e-12 |D'(c)|;
+    a merely small D, such as cos(x)^20 near but not at pi/2, passes.
     """
     c = math.cos(x)
     s = math.sin(x)
     denv = R.den(c)
-    if abs(denv) < 1e-12:
+    if abs(denv) <= 1e-12 * abs(R.den.derivative()(c)):
         raise SingularPoint(f"denominator vanishes near x = {x!r}")
     return R.num.eval(c, s) / denv

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import fourth_order_diff, random_trig_rational
@@ -26,7 +26,13 @@ from secint.substitution import (
     builtin_substitutions,
     get_substitution,
 )
-from secint.trig import TrigRational, trig_derivative
+from secint.trig import (
+    TrigPolynomial,
+    TrigRational,
+    canonicalize,
+    is_odd_in_cos,
+    trig_derivative,
+)
 
 SIN = TrigRational.sin()
 COS = TrigRational.cos()
@@ -114,8 +120,11 @@ PROJECTIONS = ["weierstrass", "modified-weierstrass", "gregory"]
 
 
 def along_maps(R, sub):
-    """R(cos x, sin x) with cos and sin replaced by the substitution's maps."""
-    return R.num.eval_rational(sub.cos_expr, sub.sin_expr) / R.den(sub.cos_expr)
+    """Reference for the forward substitution: R(cos x, sin x) with cos and
+    sin replaced by the substitution's maps, by Horner over
+    RationalFunction, which normalizes at every step."""
+    cos, sin = sub.cos_expr, sub.sin_expr
+    return (R.num.p(cos) + R.num.q(cos) * sin) / R.den(cos)
 
 
 @pytest.mark.parametrize("name", PROJECTIONS)
@@ -260,3 +269,58 @@ def test_back_substitute_matches_horner_composition(name, poly, num, den):
         G = back_substitute(Antiderivative((RatTerm(payload),), var), sub)
         expected = horner_composition(payload, sub.back_sub)
         assert G.terms == (() if expected.is_zero() else (RatTerm(expected),))
+
+
+def cpoly(coeffs):
+    return Polynomial.from_coefficients(coeffs, "c")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(PROJECTIONS),
+    p=coefficient_lists,
+    q=coefficient_lists,
+    dp=coefficient_lists,
+    dq=coefficient_lists,
+)
+def test_apply_substitution_matches_horner_composition(name, p, q, dp, dq):
+    # a nonzero A + B*s never vanishes on the circle: A^2 = B^2(1 - c^2)
+    # would need leading coefficients with a^2 = -b^2
+    assume(any(c != 0 for c in dp + dq))
+    R = canonicalize(
+        TrigPolynomial(cpoly(p), cpoly(q)), TrigPolynomial(cpoly(dp), cpoly(dq))
+    )
+    sub = by_name(name)
+    assert apply_substitution(R, sub).integrand == along_maps(R, sub) * sub.dx_expr
+
+
+def in_cos_squared(coeffs):
+    """The polynomial in c whose coefficient of c^(2k) is coeffs[k]."""
+    spread = []
+    for c in coeffs:
+        spread += [c, 0]
+    return cpoly(spread)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    a=coefficient_lists,
+    b=coefficient_lists,
+    d=coefficient_lists.filter(lambda cs: any(c != 0 for c in cs)),
+)
+def test_barrow_reads_its_integrand_off_r_over_cos(a, b, d):
+    # E is a function of c^2 and s, so R = E*cos is odd in cos
+    E = canonicalize(
+        TrigPolynomial(in_cos_squared(a), in_cos_squared(b)), in_cos_squared(d)
+    )
+    R = E * COS
+    sub = by_name("barrow")
+    assert is_odd_in_cos(R)
+    integrand = apply_substitution(R, sub).integrand
+    assert _pull_back(integrand, sub.back_sub) * COS == R
+    # R + 1 adds an even part; R + sin*cos^2 an odd power of c in the
+    # s-part of R / cos only
+    for even_part in (1, SIN * COS**2):
+        assert not is_odd_in_cos(R + even_part)
+        with pytest.raises(NotApplicable):
+            apply_substitution(R + even_part, sub)
