@@ -1,7 +1,9 @@
 """The rational-function stage of the pipeline, in isolation.
 
 Hermite reduction strips repeated denominator factors without factoring
-anything over an extension field; partial fractions handle what is left.
+anything over an extension field; partial fractions turn what is left
+straight into antiderivative terms (a rational term for the polynomial
+quotient, logs and atans for the linear and quadratic factors).
 Because every coefficient is an exact fraction, the round trip
 d/du (integral) = integrand is literal equality, not a tolerance check.
 """
@@ -11,6 +13,7 @@ from fractions import Fraction
 from secint.integrate import (
     hermite_reduce,
     integrate_rational,
+    make_antiderivative,
     partial_fractions,
     symbolic_derivative,
 )
@@ -32,8 +35,10 @@ for f in examples:
     rational_part, remainder = hermite_reduce(f)
     print(f"  hermite: rational part {rational_part}, remainder {remainder}")
     if not remainder.num.is_zero():
-        pieces = partial_fractions(remainder)
-        print(f"  partial fractions of the remainder: {len(pieces)} piece(s)")
+        print("  partial fractions of the remainder, as antiderivative terms:")
+        for term in partial_fractions(remainder):
+            body = str(make_antiderivative([term], "u")).removesuffix(" + C")
+            print(f"    {type(term).__name__}: {body}")
     F = integrate_rational(f)
     print(f"  integral: {F}")
     assert symbolic_derivative(F) == f, "round trip must be exact"

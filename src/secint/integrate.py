@@ -2,12 +2,14 @@
 
 Pipeline: Hermite reduction factors the denominator once into squarefree
 powers and strips each repeated factor into an explicit, proper rational
-part (Bronstein's quadratic reduction); the polynomial quotient of the
-squarefree remainder is integrated into that same rational part, and
-partial fractions over the remainder produce log terms (rational linear
-factors) and log/atan pairs (one rational-rootless quadratic whose completed
-square has a rational side length).  An :class:`Antiderivative` therefore
-holds at most one :class:`RatTerm`, then its logs and atans.
+part (Bronstein's quadratic reduction); :func:`partial_fractions` turns the
+squarefree remainder straight into antiderivative terms: its integrated
+polynomial quotient as a :class:`RatTerm`, a log term per rational linear
+factor, and a log/atan pair for at most one rational-rootless quadratic
+whose completed square has a rational side length.  The terms are one
+vocabulary from this stage to rendering; :func:`make_antiderivative` merges
+them, so an :class:`Antiderivative` holds at most one :class:`RatTerm`, then
+its logs and atans.
 
 The coefficient field never leaves the rationals.  A quadratic such as
 t^2 + 3 would need atan(t/sqrt(3))/sqrt(3) wherever its atan coefficient is
@@ -25,7 +27,7 @@ budget, so the cost grows with their number of divisors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Union
 
@@ -130,49 +132,34 @@ def make_antiderivative(terms: list[Term], variable: str) -> Antiderivative:
     to zero and are dropped.
     """
     rat_sum: Union[Payload, None] = None
-    logs: dict = {}
-    atans: dict = {}
+    merged: dict = {}
     for term in terms:
         if isinstance(term, RatTerm):
             if term.payload.is_zero():
                 continue
             rat_sum = term.payload if rat_sum is None else rat_sum + term.payload
-        elif isinstance(term, LogTerm):
-            if term.coefficient == 0 or term.argument.is_constant():
-                continue
-            arg = term.argument
-            if term.absolute and leading_sign(arg) < 0:
-                arg = -arg
-            key = (_argument_key(arg), term.absolute)
-            prev = logs.get(key)
-            logs[key] = (
-                LogTerm(term.coefficient, arg, term.absolute)
-                if prev is None
-                else LogTerm(prev.coefficient + term.coefficient, arg, term.absolute)
-            )
-        elif isinstance(term, AtanTerm):
-            if term.coefficient == 0 or term.argument.is_constant():
-                continue
-            key = _argument_key(term.argument)
-            prev = atans.get(key)
-            atans[key] = (
-                term
-                if prev is None
-                else AtanTerm(prev.coefficient + term.coefficient, term.argument)
-            )
-        else:
+            continue
+        if not isinstance(term, (LogTerm, AtanTerm)):
             raise TypeError(f"unknown antiderivative term {term!r}")
+        if term.coefficient == 0 or term.argument.is_constant():
+            continue
+        if isinstance(term, LogTerm):
+            if term.absolute and leading_sign(term.argument) < 0:
+                term = replace(term, argument=-term.argument)
+            key = (1, _argument_key(term.argument), term.absolute)
+        else:
+            key = (0, _argument_key(term.argument))
+        prev = merged.get(key)
+        merged[key] = (
+            term if prev is None else replace(prev, coefficient=prev.coefficient + term.coefficient)
+        )
     out: list[Term] = []
     if rat_sum is not None and not rat_sum.is_zero():
         out.append(RatTerm(rat_sum))
+    # logs before atans, each by argument key descending; the sort is stable
     out.extend(
         t
-        for key, t in sorted(logs.items(), key=lambda kv: kv[0][0], reverse=True)
-        if t.coefficient != 0
-    )
-    out.extend(
-        t
-        for key, t in sorted(atans.items(), key=lambda kv: kv[0], reverse=True)
+        for key, t in sorted(merged.items(), key=lambda kv: kv[0][:2], reverse=True)
         if t.coefficient != 0
     )
     return Antiderivative(tuple(out), variable)
@@ -220,68 +207,68 @@ def hermite_reduce(f: RationalFunction) -> tuple[RationalFunction, RationalFunct
 # partial fractions over a squarefree denominator
 
 
-@dataclass(frozen=True)
-class PolyPart:
-    polynomial: Polynomial
+def partial_fractions(f: RationalFunction) -> list[Term]:
+    """Antiderivative terms of f over rational linear factors plus at most
+    one quadratic.
 
-
-@dataclass(frozen=True)
-class LinearPart:
-    residue: Fraction
-    root: Fraction
-    power: int = 1
-
-
-@dataclass(frozen=True)
-class QuadraticPart:
-    numerator: Polynomial  # degree <= 1
-    quadratic: Polynomial  # monic, no rational roots
-    power: int = 1
-
-
-PartialFractionTerm = Union[PolyPart, LinearPart, QuadraticPart]
-
-
-def partial_fractions(f: RationalFunction) -> list[PartialFractionTerm]:
-    """Decompose over rational linear factors plus at most one quadratic.
-
-    The denominator must be squarefree (run :func:`hermite_reduce` first).
-    Raises :class:`UnsupportedDenominator` if, after removing every rational
-    root, a cofactor of degree three or more remains.
+    The denominator D must be squarefree (run :func:`hermite_reduce` first).
+    The polynomial quotient integrates into a :class:`RatTerm`; each
+    rational root r of D gives (A(r)/D'(r))*ln|u - r|, with A the proper
+    numerator.  With L the product of the u - r, the cofactor Q = D/L and its
+    numerator N = (A - Q*sum(res*L/(u - r)))/L come from two exact
+    divisions.  A quadratic Q = u^2+pu+q with N = bu + c gives
+    (b/2)ln(u^2+pu+q) + k*atan((u+p/2)/m) with m^2 = q - p^2/4, provided m
+    is rational (:class:`IrrationalAtanScale` otherwise, when the atan
+    coefficient is nonzero).  A cofactor of degree three or more raises
+    :class:`UnsupportedDenominator`.
     """
     if f.is_zero():
         return []
     var = f.var
-    quo, rem = divmod(f.num, f.den)
-    parts: list[PartialFractionTerm] = []
+    quo, A = divmod(f.num, f.den)
+    terms: list[Term] = []
     if not quo.is_zero():
-        parts.append(PolyPart(quo))
-    if rem.is_zero():
-        return parts
-    den = f.den
-    if not poly_gcd(den, den.derivative()).is_constant():
+        terms.append(RatTerm(RationalFunction.from_polynomial(quo.integral())))
+    if A.is_zero():
+        return terms
+    D = f.den
+    dD = D.derivative()
+    if not poly_gcd(D, dD).is_constant():
         raise ValueError("denominator is not squarefree; apply hermite_reduce first")
-    dprime = den.derivative()
-    acc = ratfunc_normalize(rem, den)
-    for r in rational_roots(den):
-        residue = rem(r) / dprime(r)
-        parts.append(LinearPart(residue, r, 1))
-        acc = acc - ratfunc_normalize(
-            Polynomial.constant(residue, var),
-            Polynomial.from_coefficients([-r, 1], var),
-        )
-    if acc.is_zero():
-        return parts
-    cofactor = acc.den
-    if cofactor.degree > 2:
+    u = Polynomial.variable(var)
+    L = Polynomial.constant(1, var)
+    residues = []
+    for r in rational_roots(D):
+        residue = A(r) / dD(r)
+        terms.append(LogTerm(residue, RationalFunction.from_polynomial(u - r)))
+        residues.append((residue, u - r))
+        L = L * (u - r)
+    Q = D.exact_div(L)
+    if Q.is_constant():
+        return terms
+    if Q.degree > 2:
         raise UnsupportedDenominator(
-            f"denominator factor {cofactor} of degree {cofactor.degree} "
-            "has no rational root"
+            f"denominator factor {Q} of degree {Q.degree} has no rational root"
         )
-    if cofactor.degree != 2:
-        raise AssertionError("residue extraction left a non-quadratic cofactor")
-    parts.append(QuadraticPart(acc.num, cofactor, 1))
-    return parts
+    S = Polynomial.zero(var)
+    for residue, linear in residues:
+        S = S + L.exact_div(linear) * residue
+    N = (A - Q * S).exact_div(L)
+    b, c0 = N.coefficient(1), N.coefficient(0)
+    p, q = Q.coefficient(1), Q.coefficient(0)
+    disc = q - p * p / 4
+    if b != 0:
+        terms.append(LogTerm(b / 2, RationalFunction.from_polynomial(Q), absolute=disc <= 0))
+    atan_weight = c0 - b * p / 2
+    if atan_weight != 0:
+        m = rational_sqrt(disc)
+        if m is None or m == 0:
+            raise IrrationalAtanScale(
+                f"completed square of {Q} needs side sqrt({disc}), which is not rational"
+            )
+        arg = ratfunc_normalize(u + p / 2, Polynomial.constant(m, var))
+        terms.append(AtanTerm(atan_weight / m, arg))
+    return terms
 
 
 # ---------------------------------------------------------------------------
@@ -289,48 +276,11 @@ def partial_fractions(f: RationalFunction) -> list[PartialFractionTerm]:
 
 
 def integrate_rational(f: RationalFunction) -> Antiderivative:
-    """Exact antiderivative of a rational function in its own variable.
-
-    The polynomial quotient integrates termwise and is added to Hermite's
-    rational part, so the result has at most one :class:`RatTerm`; linear
-    factors give a*ln|u - r|; a quadratic u^2+pu+q gives
-    (b/2)ln(u^2+pu+q) + k*atan((u+p/2)/m) with m^2 = q - p^2/4, provided m
-    is rational (:class:`IrrationalAtanScale` otherwise, when the atan
-    coefficient is nonzero).
-    """
-    var = f.var
+    """Exact antiderivative of a rational function in its own variable:
+    Hermite's rational part plus the :func:`partial_fractions` terms of the
+    squarefree remainder, merged by :func:`make_antiderivative`."""
     rational_part, remainder = hermite_reduce(f)
-    terms: list[Term] = []
-    if not rational_part.is_zero():
-        terms.append(RatTerm(rational_part))
-    u = Polynomial.variable(var)
-    for part in partial_fractions(remainder):
-        if isinstance(part, PolyPart):
-            integral = RationalFunction.from_polynomial(part.polynomial.integral())
-            terms.append(RatTerm(integral))
-        elif isinstance(part, LinearPart):
-            arg = RationalFunction.from_polynomial(u - part.root)
-            terms.append(LogTerm(part.residue, arg, absolute=True))
-        else:
-            b = part.numerator.coefficient(1)
-            c0 = part.numerator.coefficient(0)
-            p = part.quadratic.coefficient(1)
-            q = part.quadratic.coefficient(0)
-            disc = q - p * p / 4
-            if b != 0:
-                quad_arg = RationalFunction.from_polynomial(part.quadratic)
-                terms.append(LogTerm(b / 2, quad_arg, absolute=disc <= 0))
-            atan_weight = c0 - b * p / 2
-            if atan_weight != 0:
-                m = rational_sqrt(disc)
-                if m is None or m == 0:
-                    raise IrrationalAtanScale(
-                        f"completed square of {part.quadratic} needs side "
-                        f"sqrt({disc}), which is not rational"
-                    )
-                arg = ratfunc_normalize(u + p / 2, Polynomial.constant(m, var))
-                terms.append(AtanTerm(atan_weight / m, arg))
-    return make_antiderivative(terms, var)
+    return make_antiderivative([RatTerm(rational_part)] + partial_fractions(remainder), f.var)
 
 
 # ---------------------------------------------------------------------------

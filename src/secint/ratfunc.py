@@ -125,7 +125,12 @@ class Polynomial:
         return _coerce_poly(other, self.var) - self
 
     def __mul__(self, other: Polynomial | CoeffLike) -> Polynomial:
-        other = _coerce_poly(other, self.var)
+        if not isinstance(other, Polynomial):
+            # a scalar scales the coefficients; no convolution
+            k = _as_fraction(other)
+            if k == 0:
+                return Polynomial.zero(self.var)
+            return Polynomial(tuple(c * k for c in self.coefficients), self.var)
         var = self._joined_var(other)
         if self.is_zero() or other.is_zero():
             return Polynomial.zero(var)

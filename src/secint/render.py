@@ -177,6 +177,17 @@ def _format_argument(arg) -> str:
     return format_rational_function(arg)
 
 
+def _scaled(coefficient: Fraction, body: str) -> str:
+    """``coefficient*body`` with the sign in front and a unit coefficient
+    left out."""
+    if coefficient == 1:
+        return body
+    if coefficient == -1:
+        return "-" + body
+    sign = "-" if coefficient < 0 else ""
+    return f"{sign}{format_fraction(abs(coefficient))}*{body}"
+
+
 def format_antiderivative(F) -> str:
     """Human-readable sum ending in `` + C``; deterministic per value."""
     from .integrate import AtanTerm, LogTerm, RatTerm
@@ -188,25 +199,9 @@ def format_antiderivative(F) -> str:
         elif isinstance(term, LogTerm):
             arg = _format_argument(term.argument)
             log = f"ln|{arg}|" if term.absolute else f"ln({arg})"
-            if term.coefficient == 1:
-                bodies.append(log)
-            elif term.coefficient == -1:
-                bodies.append("-" + log)
-            else:
-                coeff = format_fraction(abs(term.coefficient))
-                sign = "-" if term.coefficient < 0 else ""
-                bodies.append(f"{sign}{coeff}*{log}")
+            bodies.append(_scaled(term.coefficient, log))
         elif isinstance(term, AtanTerm):
-            arg = _format_argument(term.argument)
-            atan = f"atan({arg})"
-            if term.coefficient == 1:
-                bodies.append(atan)
-            elif term.coefficient == -1:
-                bodies.append("-" + atan)
-            else:
-                coeff = format_fraction(abs(term.coefficient))
-                sign = "-" if term.coefficient < 0 else ""
-                bodies.append(f"{sign}{coeff}*{atan}")
+            bodies.append(_scaled(term.coefficient, f"atan({_format_argument(term.argument)})"))
         else:
             raise TypeError(f"unknown antiderivative term {term!r}")
     if not bodies:

@@ -1,11 +1,13 @@
 """Pinned outputs for the benchmark's inputs, compared record by record.
 
 ``data/golden_outputs.json`` holds integrand texts with the outcome of
-``integrate_trig`` for each: the 40 acceptance-corpus and 34 powers inputs
-under auto mode and under every method, and the 150 random-mix inputs under
-auto mode.  An outcome is the winning method, the rendered antiderivative
-and the per-method failures, or the refusal's class and message.  The file
-carries its own inputs, so the tests do not import ``bench/``.
+``integrate_trig`` for each: the 40 acceptance-corpus, 34 powers and 150
+random-mix inputs, each under auto mode and under every method.  Most
+random-mix records are refusals, so they pin the partial-fraction stage's
+refusal messages per method.  An outcome is the winning method, the
+rendered antiderivative and the per-method failures, or the refusal's class
+and message.  The file carries its own inputs, so the tests do not import
+``bench/``.
 
 A change that alters outputs on purpose rewrites the file with
 ``PYTHONPATH=src python tests/test_golden.py`` and lists the changed strings
@@ -37,7 +39,7 @@ def outcome(text: str, method: str) -> dict:
 
 def test_outputs_match_golden():
     records = json.loads(GOLDEN.read_text())
-    assert len(records) == 40 * 5 + 34 * 5 + 150
+    assert len(records) == (40 + 34 + 150) * 5
     changed = [
         (r["input"], r["method"], r["outcome"], got)
         for r in records

@@ -12,10 +12,7 @@ from secint import integrate
 from secint.errors import IrrationalAtanScale, UnsupportedDenominator
 from secint.integrate import (
     AtanTerm,
-    LinearPart,
     LogTerm,
-    PolyPart,
-    QuadraticPart,
     RatTerm,
     eval_antiderivative,
     hermite_reduce,
@@ -30,6 +27,7 @@ from secint.ratfunc import (
     poly_gcd,
     poly_xgcd,
     ratfunc_normalize,
+    rational_sqrt,
     squarefree_factorization,
 )
 
@@ -167,51 +165,81 @@ def test_hermite_factors_the_denominator_once(monkeypatch):
 
 def test_pf_two_linear():
     f = RF((2,), (1, 0, -1))  # 2/(1-u^2), normalized to -2/(u^2-1)
-    parts = partial_fractions(f)
-    assert parts == [
-        LinearPart(Fraction(1), Fraction(-1), 1),
-        LinearPart(Fraction(-1), Fraction(1), 1),
+    assert partial_fractions(f) == [
+        LogTerm(Fraction(1), RF((1, 1), (1,))),
+        LogTerm(Fraction(-1), RF((-1, 1), (1,))),
     ]
 
 
 def test_pf_half_residues():
     f = RF((1,), (1, 0, -1))  # 1/(1-u^2)
-    parts = partial_fractions(f)
-    assert parts == [
-        LinearPart(Fraction(1, 2), Fraction(-1), 1),
-        LinearPart(Fraction(-1, 2), Fraction(1), 1),
+    assert partial_fractions(f) == [
+        LogTerm(Fraction(1, 2), RF((1, 1), (1,))),
+        LogTerm(Fraction(-1, 2), RF((-1, 1), (1,))),
     ]
 
 
 def test_pf_pure_quadratic():
-    f = RF((0, 2), (1, 0, 1), var="t")
+    f = RF((0, 2), (1, 0, 1), var="t")  # 2t/(t^2+1): a log, no atan
     assert partial_fractions(f) == [
-        QuadraticPart(P(0, 2, var="t"), P(1, 0, 1, var="t"), 1)
+        LogTerm(Fraction(1), RF((1, 0, 1), (1,), var="t"), absolute=False)
     ]
 
 
 def test_pf_linear_and_quadratic():
-    f = RF((1,), (0, 1, 0, 1))  # 1/(u(u^2+1))
+    f = RF((1,), (0, 1, 0, 1))  # 1/(u(u^2+1)) = 1/u - u/(u^2+1)
     assert partial_fractions(f) == [
-        LinearPart(Fraction(1), Fraction(0), 1),
-        QuadraticPart(P(0, -1), P(1, 0, 1), 1),
+        LogTerm(Fraction(1), RF((0, 1), (1,))),
+        LogTerm(Fraction(-1, 2), RF((1, 0, 1), (1,)), absolute=False),
     ]
 
 
 def test_pf_poly_part_and_recombination():
-    f = RF((1, 0, 0, 1), (-1, 0, 1))  # (u^3+1)/(u^2-1)
+    f = RF((1, 0, 0, 1), (-1, 0, 1))  # (u^3+1)/(u^2-1) = u + 1/(u-1)
     parts = partial_fractions(f)
-    assert parts[0] == PolyPart(P(0, 1))
-    total = RF((0, 1), (1,))
-    for part in parts[1:]:
-        assert isinstance(part, LinearPart)
-        total = total + RF((part.residue,), (-part.root, 1))
-    assert total == f
+    assert parts == [
+        RatTerm(RF((0, 0, Fraction(1, 2)), (1,))),
+        LogTerm(Fraction(1), RF((-1, 1), (1,))),
+    ]
+    assert symbolic_derivative(make_antiderivative(parts, "u")) == f
 
 
 def test_pf_rejects_cubic_without_roots():
-    with pytest.raises(UnsupportedDenominator):
-        partial_fractions(RF((1,), (2, 0, 0, 1)))  # 1/(u^3+2)
+    # 1/(u^3+2), and 1/((u-1)(u^3+2)), where the root 1 comes out first
+    for den in (P(2, 0, 0, 1), P(-1, 1) * P(2, 0, 0, 1)):
+        with pytest.raises(UnsupportedDenominator) as info:
+            partial_fractions(RF((1,), den))
+        assert str(info.value) == "denominator factor u^3+2 of degree 3 has no rational root"
+
+
+def rootless_quadratics():
+    """Monic u^2+pu+q with no rational root: any such, or (u+h)^2 + k^2,
+    whose atan has the rational side k."""
+    any_rootless = st.tuples(small_fractions, small_fractions).filter(
+        lambda pq: rational_sqrt(pq[0] ** 2 - 4 * pq[1]) is None
+    ).map(lambda pq: P(pq[1], pq[0], 1))
+    rational_side = st.tuples(small_fractions, small_fractions.filter(bool)).map(
+        lambda hk: P(hk[0] ** 2 + hk[1] ** 2, 2 * hk[0], 1)
+    )
+    return any_rootless | rational_side
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    st.lists(small_fractions, max_size=3, unique=True),
+    st.none() | rootless_quadratics(),
+    nonzero_polys(7),
+)
+def test_pf_terms_differentiate_back(roots, quadratic, num):
+    den = ONE if quadratic is None else quadratic
+    for r in roots:
+        den = den * P(-r, 1)
+    f = ratfunc_normalize(num, den)
+    try:
+        parts = partial_fractions(f)
+    except IrrationalAtanScale:
+        return
+    assert symbolic_derivative(make_antiderivative(parts, "u")) == f
 
 
 def test_pf_requires_squarefree():
