@@ -90,7 +90,6 @@ from .trig import (
     TrigRational,
     eval_trig,
     is_odd_in_cos,
-    trig_derivative,
     verify_log_derivative,
 )
 
@@ -161,6 +160,5 @@ __all__ = [
     "rational_sqrt",
     "symbolic_derivative",
     "triple_from_parameter",
-    "trig_derivative",
     "verify_log_derivative",
 ]

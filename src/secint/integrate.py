@@ -11,6 +11,13 @@ vocabulary from this stage to rendering; :func:`make_antiderivative` merges
 them, so an :class:`Antiderivative` holds at most one :class:`RatTerm`, then
 its logs and atans.
 
+Each term carries its own calculus, the same for a RationalFunction payload
+in the parameter and a TrigRational payload in x: ``derivative()`` is its
+exact derivative, ``pulled_back(pull)`` is the same term with its payload
+mapped by ``pull`` (back-substitution), and ``value(x, singular_tol)`` is its
+double-precision value.  :func:`symbolic_derivative` and
+:func:`eval_antiderivative` are sums over the terms.
+
 The coefficient field never leaves the rationals.  A quadratic such as
 t^2 + 3 would need atan(t/sqrt(3))/sqrt(3) wherever its atan coefficient is
 nonzero; instead of adjoining surds that case is reported as
@@ -29,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Union
+from typing import Callable, Union
 
 from .errors import IrrationalAtanScale, SingularPoint, UnsupportedDenominator
 from .ratfunc import (
@@ -42,9 +49,21 @@ from .ratfunc import (
     ratfunc_normalize,
     squarefree_factorization,
 )
-from .trig import TrigRational, eval_trig, trig_derivative
+from .trig import TrigRational, eval_trig
 
 Payload = Union[RationalFunction, TrigRational]
+Pull = Callable[[Payload], Payload]
+
+
+def _value(payload: Payload, x: float, singular_tol: float) -> float:
+    """Double-precision value of a payload at x, with the pole guards that
+    :func:`eval_antiderivative` describes."""
+    if isinstance(payload, TrigRational):
+        return eval_trig(payload, x)
+    denv = payload.den(x)
+    if abs(denv) < singular_tol:
+        raise SingularPoint(f"denominator vanishes near x = {x!r}")
+    return payload.num(x) / denv
 
 
 @dataclass(frozen=True)
@@ -55,18 +74,54 @@ class RatTerm:
 
     payload: Payload
 
+    def derivative(self) -> Payload:
+        return self.payload.derivative()
+
+    def pulled_back(self, pull: Pull) -> RatTerm:
+        return replace(self, payload=pull(self.payload))
+
+    def value(self, x: float, singular_tol: float) -> float:
+        return _value(self.payload, x, singular_tol)
+
 
 @dataclass(frozen=True)
 class LogTerm:
+    """``coefficient*ln|argument|``, or ``coefficient*ln(argument)`` for an
+    argument that has no real zero (``absolute=False``)."""
+
     coefficient: Fraction
     argument: Payload
     absolute: bool = True
 
+    def derivative(self) -> Payload:
+        return self.argument.derivative() * self.coefficient / self.argument
+
+    def pulled_back(self, pull: Pull) -> LogTerm:
+        return replace(self, argument=pull(self.argument))
+
+    def value(self, x: float, singular_tol: float) -> float:
+        v = _value(self.argument, x, singular_tol)
+        if abs(v) < singular_tol:
+            raise SingularPoint(f"log argument vanishes near x = {x!r}")
+        return float(self.coefficient) * math.log(abs(v))
+
 
 @dataclass(frozen=True)
 class AtanTerm:
+    """``coefficient*atan(argument)``."""
+
     coefficient: Fraction
     argument: Payload
+
+    def derivative(self) -> Payload:
+        g = self.argument
+        return g.derivative() * self.coefficient / (g * g + 1)
+
+    def pulled_back(self, pull: Pull) -> AtanTerm:
+        return replace(self, argument=pull(self.argument))
+
+    def value(self, x: float, singular_tol: float) -> float:
+        return float(self.coefficient) * math.atan(_value(self.argument, x, singular_tol))
 
 
 Term = Union[RatTerm, LogTerm, AtanTerm]
@@ -84,6 +139,11 @@ class Antiderivative:
 
     terms: tuple[Term, ...]
     variable: str
+
+    def __post_init__(self):
+        for term in self.terms:
+            if not isinstance(term, (RatTerm, LogTerm, AtanTerm)):
+                raise TypeError(f"unknown antiderivative term {term!r}")
 
     def __str__(self) -> str:
         from .render import format_antiderivative
@@ -288,59 +348,23 @@ def integrate_rational(f: RationalFunction) -> Antiderivative:
 
 
 def symbolic_derivative(F: Antiderivative):
-    """Termwise exact derivative; RationalFunction in parameter space,
-    TrigRational after back-substitution."""
-    total = None
-
-    def _d(payload):
-        if isinstance(payload, TrigRational):
-            return trig_derivative(payload)
-        return payload.derivative()
-
-    for term in F.terms:
-        if isinstance(term, RatTerm):
-            piece = _d(term.payload)
-        elif isinstance(term, LogTerm):
-            piece = _d(term.argument) * term.coefficient / term.argument
-        else:
-            g = term.argument
-            piece = _d(g) * term.coefficient / (g * g + 1)
-        total = piece if total is None else total + piece
-    if total is None:
-        if F.variable == "x":
-            return TrigRational.constant(0)
-        return RationalFunction.constant(0, F.variable)
-    return total
+    """Sum of the terms' exact derivatives; RationalFunction in parameter
+    space, TrigRational after back-substitution."""
+    pieces = [term.derivative() for term in F.terms]
+    if pieces:
+        return sum(pieces[1:], pieces[0])
+    if F.variable == "x":
+        return TrigRational.constant(0)
+    return RationalFunction.constant(0, F.variable)
 
 
 def eval_antiderivative(F: Antiderivative, x: float, singular_tol: float = 1e-12) -> float:
-    """Double-precision value at x.
+    """Double-precision value at x: the sum of the terms' values.
 
     Raises :class:`SingularPoint` where a log argument is within
     ``singular_tol`` of zero, or where the denominator of a parameter-space
-    (RationalFunction) payload is.  TrigRational payloads are evaluated by
-    :func:`secint.trig.eval_trig`, whose own pole guard is a zero of the
-    cos-polynomial denominator within about 1e-12 in cos x, whatever
-    ``singular_tol`` is.
+    (RationalFunction) payload is.  TrigRational payloads keep the pole
+    guard of :func:`secint.trig.eval_trig`, a zero of the cos-polynomial
+    denominator within about 1e-12 in cos x, whatever ``singular_tol`` is.
     """
-
-    def _num(payload) -> float:
-        if isinstance(payload, TrigRational):
-            return eval_trig(payload, x)
-        denv = payload.den(x)
-        if abs(denv) < singular_tol:
-            raise SingularPoint(f"denominator vanishes near x = {x!r}")
-        return payload.num(x) / denv
-
-    total = 0.0
-    for term in F.terms:
-        if isinstance(term, RatTerm):
-            total += _num(term.payload)
-        elif isinstance(term, LogTerm):
-            v = _num(term.argument)
-            if abs(v) < singular_tol:
-                raise SingularPoint(f"log argument vanishes near x = {x!r}")
-            total += float(term.coefficient) * math.log(abs(v))
-        else:
-            total += float(term.coefficient) * math.atan(_num(term.argument))
-    return total
+    return sum((term.value(x, singular_tol) for term in F.terms), 0.0)

@@ -19,13 +19,8 @@ Conventions, chosen once and pinned by tests:
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
 from .ratfunc import Polynomial, RationalFunction
-
-if TYPE_CHECKING:
-    from .integrate import Antiderivative
-    from .trig import TrigRational
 
 
 def format_fraction(value: Fraction) -> str:
@@ -113,10 +108,7 @@ def _trig_poly_parts(p: Polynomial, q: Polynomial) -> list[str]:
         if k == 0:
             parts.append(_monomial(c, "sin(x)", 1))
         else:
-            cos_part = "cos(x)" if k == 1 else f"cos(x)^{k}"
-            coeff = "" if abs(c) == 1 else format_fraction(abs(c)) + "*"
-            sign = "-" if c < 0 else ""
-            parts.append(f"{sign}{coeff}{cos_part}*sin(x)")
+            parts.append(_monomial(c, _monomial(1, "cos(x)", k) + "*sin(x)", 1))
     return parts
 
 
@@ -140,10 +132,7 @@ def _sec_tan_parts(R) -> list[str] | None:
         if sec_power == 0:
             parts.append(_monomial(c, "tan(x)", 1))
         else:
-            sec_part = "sec(x)" if sec_power == 1 else f"sec(x)^{sec_power}"
-            coeff = "" if abs(c) == 1 else format_fraction(abs(c)) + "*"
-            sign = "-" if c < 0 else ""
-            parts.append(f"{sign}{coeff}{sec_part}*tan(x)")
+            parts.append(_monomial(c, _monomial(1, "sec(x)", sec_power) + "*tan(x)", 1))
     return parts
 
 
@@ -169,14 +158,6 @@ def format_trig_rational(R) -> str:
 # antiderivatives
 
 
-def _format_argument(arg) -> str:
-    from .trig import TrigRational
-
-    if isinstance(arg, TrigRational):
-        return format_trig_rational(arg)
-    return format_rational_function(arg)
-
-
 def _scaled(coefficient: Fraction, body: str) -> str:
     """``coefficient*body`` with the sign in front and a unit coefficient
     left out."""
@@ -190,20 +171,17 @@ def _scaled(coefficient: Fraction, body: str) -> str:
 
 def format_antiderivative(F) -> str:
     """Human-readable sum ending in `` + C``; deterministic per value."""
-    from .integrate import AtanTerm, LogTerm, RatTerm
+    from .integrate import LogTerm, RatTerm
 
     bodies: list[str] = []
     for term in F.terms:
         if isinstance(term, RatTerm):
-            bodies.append(_format_argument(term.payload))
+            bodies.append(str(term.payload))
         elif isinstance(term, LogTerm):
-            arg = _format_argument(term.argument)
-            log = f"ln|{arg}|" if term.absolute else f"ln({arg})"
+            log = f"ln|{term.argument}|" if term.absolute else f"ln({term.argument})"
             bodies.append(_scaled(term.coefficient, log))
-        elif isinstance(term, AtanTerm):
-            bodies.append(_scaled(term.coefficient, f"atan({_format_argument(term.argument)})"))
-        else:
-            raise TypeError(f"unknown antiderivative term {term!r}")
+        else:  # AtanTerm
+            bodies.append(_scaled(term.coefficient, f"atan({term.argument})"))
     if not bodies:
         return "0 + C"
     out = bodies[0]

@@ -37,7 +37,7 @@ from typing import Optional
 from . import trig
 from .conics import CIRCLE_FROM_B, CIRCLE_FROM_D, HYPERBOLA_FROM_PPLUS
 from .errors import DenominatorVanishesIdentically, NotApplicable
-from .integrate import Antiderivative, AtanTerm, LogTerm, RatTerm, make_antiderivative
+from .integrate import Antiderivative, make_antiderivative
 from .ratfunc import Polynomial, RationalFunction, ratfunc_normalize
 from .trig import TrigPolynomial, TrigRational, is_even_in_cos
 
@@ -203,11 +203,14 @@ def _pull_back(payload: RationalFunction, back: TrigRational) -> TrigRational:
 
 
 def back_substitute(F: Antiderivative, sub: Substitution) -> Antiderivative:
-    """Replace the parameter by its expression in x throughout F.
+    """Pull every term of F back along ``sub.back_sub``, the parameter
+    written in x.
 
-    Arguments of logs and atans become trig expressions; no simplification
-    happens beyond canonicalization of each argument, done once per payload
-    on its homogeneous composition (see :func:`_pull_back`).
+    Each term is rebuilt by its ``pulled_back``, so its payload (the
+    rational part, or a log or atan argument) becomes a trig expression and
+    every other field is kept.  No simplification happens beyond
+    canonicalization, done once per payload on its homogeneous composition
+    (see :func:`_pull_back`).
     """
     if F.variable != sub.param:
         raise ValueError(
@@ -215,14 +218,6 @@ def back_substitute(F: Antiderivative, sub: Substitution) -> Antiderivative:
             f"parameter {sub.param!r}"
         )
     back = sub.back_sub
-    terms = []
-    for term in F.terms:
-        if isinstance(term, RatTerm):
-            terms.append(RatTerm(_pull_back(term.payload, back)))
-        elif isinstance(term, LogTerm):
-            terms.append(LogTerm(term.coefficient, _pull_back(term.argument, back), term.absolute))
-        elif isinstance(term, AtanTerm):
-            terms.append(AtanTerm(term.coefficient, _pull_back(term.argument, back)))
-        else:
-            raise TypeError(f"unknown antiderivative term {term!r}")
-    return make_antiderivative(terms, "x")
+    return make_antiderivative(
+        [term.pulled_back(lambda payload: _pull_back(payload, back)) for term in F.terms], "x"
+    )

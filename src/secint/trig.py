@@ -112,7 +112,7 @@ class TrigPolynomial:
         return self.p(c) + self.q(c) * s
 
 
-TrigLike = Union["TrigRational", TrigPolynomial, Polynomial, int, Fraction]
+TrigLike = Union["TrigRational", int, Fraction]
 
 
 @dataclass(frozen=True)
@@ -191,8 +191,14 @@ class TrigRational:
             return (TrigRational.constant(1) / self) ** (-n)
         return canonicalize(self.num**n, self.den**n)
 
-    def eval(self, x: float) -> float:
-        return eval_trig(self, x)
+    def derivative(self) -> TrigRational:
+        """Derivative with respect to x, using c' = -s and s' = c."""
+        n, d = self.num, self.den
+        # quotient rule; dD/dx = D'(c) * (-s)
+        d_num = n.x_derivative() * TrigPolynomial.from_cos_polynomial(d) - n * TrigPolynomial(
+            _cpoly(), -d.derivative()
+        )
+        return canonicalize(d_num, d * d)
 
     def __str__(self) -> str:
         from .render import format_trig_rational
@@ -203,10 +209,6 @@ class TrigRational:
 def _coerce_trig(value: TrigLike) -> TrigRational:
     if isinstance(value, TrigRational):
         return value
-    if isinstance(value, TrigPolynomial):
-        return canonicalize(value, _cpoly(1))
-    if isinstance(value, Polynomial):
-        return canonicalize(TrigPolynomial.from_cos_polynomial(value), _cpoly(1))
     return TrigRational.constant(value)
 
 
@@ -250,16 +252,6 @@ def canonicalize(
     return TrigRational(num, d)
 
 
-def trig_derivative(R: TrigRational) -> TrigRational:
-    """Derivative with respect to x, using c' = -s and s' = c."""
-    n, d = R.num, R.den
-    # quotient rule; dD/dx = D'(c) * (-s)
-    d_num = n.x_derivative() * TrigPolynomial.from_cos_polynomial(d) - n * TrigPolynomial(
-        _cpoly(), -d.derivative()
-    )
-    return canonicalize(d_num, d * d)
-
-
 def is_even_in_cos(R: TrigRational) -> bool:
     """Whether R is unchanged under cos x -> -cos x: whether A, B and D of
     its canonical form (A + B*s)/D hold only even powers of c.  Canonical
@@ -281,7 +273,7 @@ def verify_log_derivative(f: TrigRational, u: TrigRational) -> bool:
     antiderivative of f."""
     if u.is_zero():
         raise ZeroDivisionError("log derivative of the zero expression")
-    return trig_derivative(u) == f * u
+    return u.derivative() == f * u
 
 
 def eval_trig(R: TrigRational, x: float) -> float:

@@ -234,3 +234,11 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == [[3, 4, 5]]
+
+
+def test_public_names_resolve_once():
+    import secint
+
+    assert len(set(secint.__all__)) == len(secint.__all__)
+    for name in secint.__all__:
+        assert hasattr(secint, name), name

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from secint import integrate
 from secint.errors import IrrationalAtanScale, UnsupportedDenominator
 from secint.integrate import (
+    Antiderivative,
     AtanTerm,
     LogTerm,
     RatTerm,
@@ -359,6 +360,11 @@ def test_atan_argument_never_flipped():
 def test_constant_log_dropped():
     F = make_antiderivative([LogTerm(Fraction(2), RF((5,), (1,)))], "u")
     assert F.terms == ()
+
+
+def test_antiderivative_rejects_a_non_term():
+    with pytest.raises(TypeError):
+        Antiderivative((object(),), "x")
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from helpers import fourth_order_diff, random_trig_rational
 from secint.errors import NotApplicable
 from secint.integrate import (
     Antiderivative,
+    AtanTerm,
     LogTerm,
     RatTerm,
     integrate_rational,
@@ -31,7 +32,6 @@ from secint.trig import (
     TrigRational,
     canonicalize,
     is_odd_in_cos,
-    trig_derivative,
 )
 
 SIN = TrigRational.sin()
@@ -143,7 +143,7 @@ def test_back_sub_along_maps_is_the_parameter(name):
 @pytest.mark.parametrize("name", PROJECTIONS)
 def test_dx_inverts_the_derivative_of_back_sub(name):
     sub = by_name(name)
-    dback = along_maps(trig_derivative(sub.back_sub), sub)
+    dback = along_maps(sub.back_sub.derivative(), sub)
     assert sub.dx_expr * dback == RationalFunction.constant(1, sub.param)
 
 
@@ -292,6 +292,63 @@ def test_apply_substitution_matches_horner_composition(name, p, q, dp, dq):
     )
     sub = by_name(name)
     assert apply_substitution(R, sub).integrand == along_maps(R, sub) * sub.dx_expr
+
+
+small_coefficients = st.lists(
+    st.fractions(min_value=-3, max_value=3, max_denominator=3), max_size=4
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(PROJECTIONS),
+    p=small_coefficients,
+    q=small_coefficients,
+    dp=small_coefficients,
+    dq=small_coefficients,
+)
+def test_payload_derivatives_agree_along_the_maps(name, p, q, dp, dq):
+    # chain rule: d/d(param) R(cos, sin) = R'(cos, sin) * dx/d(param)
+    assume(any(c != 0 for c in dp + dq))
+    R = canonicalize(
+        TrigPolynomial(cpoly(p), cpoly(q)), TrigPolynomial(cpoly(dp), cpoly(dq))
+    )
+    sub = by_name(name)
+    assert along_maps(R.derivative(), sub) * sub.dx_expr == along_maps(R, sub).derivative()
+
+
+# (term class, coefficient, absolute, numerator, denominator); the flag
+# only matters to logs, so plain ln(...) terms are generated too
+term_specs = st.lists(
+    st.tuples(
+        st.sampled_from([RatTerm, LogTerm, AtanTerm]),
+        st.fractions(min_value=-3, max_value=3, max_denominator=3),
+        st.booleans(),
+        small_coefficients,
+        small_coefficients.filter(lambda cs: any(c != 0 for c in cs)),
+    ),
+    max_size=4,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from([sub.name.value for sub in builtin_substitutions()]), specs=term_specs)
+def test_back_substitute_obeys_the_chain_rule(name, specs):
+    # d/dx F(back_sub(x)) = F'(back_sub(x)) * back_sub'(x), term by term
+    sub = by_name(name)
+    terms = []
+    for kind, coefficient, absolute, num, den in specs:
+        payload = RF(num, den, sub.param)
+        if kind is RatTerm:
+            terms.append(RatTerm(payload))
+        elif kind is LogTerm:
+            terms.append(LogTerm(coefficient, payload, absolute))
+        else:
+            terms.append(AtanTerm(coefficient, payload))
+    F = make_antiderivative(terms, sub.param)
+    G = back_substitute(F, sub)
+    expected = _pull_back(symbolic_derivative(F), sub.back_sub) * sub.back_sub.derivative()
+    assert symbolic_derivative(G) == expected
 
 
 def in_cos_squared(coeffs):

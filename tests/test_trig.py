@@ -14,7 +14,6 @@ from secint.trig import (
     canonicalize,
     eval_trig,
     is_odd_in_cos,
-    trig_derivative,
     verify_log_derivative,
 )
 
@@ -66,23 +65,23 @@ def test_pythagorean_collapse():
 
 def test_derivative_of_sec():
     # (sec)' = sec tan = s/c^2
-    d = trig_derivative(SEC)
+    d = SEC.derivative()
     assert d == SIN / (COS**2)
 
 
 def test_derivative_of_tan():
-    assert trig_derivative(TAN) == SEC**2
+    assert TAN.derivative() == SEC**2
 
 
 def test_derivative_of_sec_plus_tan():
     u = SEC + TAN
-    assert trig_derivative(u) == SEC * u
+    assert u.derivative() == SEC * u
 
 
 def test_derivative_basics():
-    assert trig_derivative(SIN) == COS
-    assert trig_derivative(COS) == -SIN
-    assert trig_derivative(TrigRational.constant(5)).is_zero()
+    assert SIN.derivative() == COS
+    assert COS.derivative() == -SIN
+    assert TrigRational.constant(5).derivative().is_zero()
 
 
 def test_oddness_in_cos():
@@ -164,7 +163,7 @@ def test_derivative_matches_finite_difference():
     checked = 0
     while checked < 60:
         r = random_trig_rational(rng)
-        d = trig_derivative(r)
+        d = r.derivative()
         x = rng.uniform(-1.4, 1.4)
         if abs(r.den(math.cos(x))) < 1e-3 or abs(d.den(math.cos(x))) < 1e-3:
             continue
