@@ -21,14 +21,30 @@ its inverse, so equal ``back_sub`` means equal maps up to the parameter's
 name.  Gregory and modified Weierstrass share theirs, sec x + tan x, so
 auto mode runs the pipeline once for the pair and reports its outcome under
 both names; a refusal message then names Gregory's parameter u.
+
+Weierstrass's t = tan(x/2) parametrizes the same circle, and Gregory's u
+is the Mobius map (1+t)/(1-t) of it (:func:`change_of_parameter`, derived
+at import).  That map keeps the degree of every irreducible factor of
+degree 2 or more, so when Gregory's run refuses with
+:class:`UnsupportedDenominator`, auto mode moves the refused cofactor along
+the map (:func:`moved_cofactor`) and reports that as Weierstrass's refusal
+without running Weierstrass's pipeline.  Any other Gregory outcome still
+runs Weierstrass, which can win on terms, and an explicit
+``method="weierstrass"`` always runs its own pipeline.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, Optional, Union
 
-from .errors import NotApplicable, SecintError, SingularPoint, ToleranceNotMet
+from .errors import (
+    NotApplicable,
+    SecintError,
+    SingularPoint,
+    ToleranceNotMet,
+    UnsupportedDenominator,
+)
 from .integrate import (
     Antiderivative,
     eval_antiderivative,
@@ -40,7 +56,9 @@ from .substitution import (
     SubstitutionName,
     apply_substitution,
     back_substitute,
+    change_of_parameter,
     get_substitution,
+    moved_cofactor,
 )
 from .trig import TrigRational, eval_trig
 
@@ -53,6 +71,11 @@ _AUTO_ORDER = (
     SubstitutionName.BARROW,
     SubstitutionName.WEIERSTRASS,
 )
+
+_GREGORY = get_substitution(SubstitutionName.GREGORY)
+_WEIERSTRASS = get_substitution(SubstitutionName.WEIERSTRASS)
+# Gregory's u as a function of Weierstrass's t: (1+t)/(1-t)
+_GREGORY_IN_WEIERSTRASS = change_of_parameter(_GREGORY, _WEIERSTRASS)
 
 # a log argument or parameter-space denominator this close to zero at a
 # sample point is rejected and the point nudged
@@ -178,6 +201,19 @@ def _run_pipeline(
         return exc
 
 
+def _moved_refusal(
+    outcomes: dict[TrigRational, Union[Antiderivative, SecintError]], sub: Substitution
+) -> Optional[UnsupportedDenominator]:
+    """Weierstrass's refusal, read off Gregory's when Gregory's run has
+    refused with :class:`UnsupportedDenominator`; None otherwise."""
+    if sub is not _WEIERSTRASS:
+        return None
+    gregory = outcomes.get(_GREGORY.back_sub)
+    if not isinstance(gregory, UnsupportedDenominator):
+        return None
+    return UnsupportedDenominator(moved_cofactor(gregory.cofactor, _GREGORY_IN_WEIERSTRASS))
+
+
 def integrate_trig(
     R: TrigRational, method: Union[SubstitutionName, str] = AUTO
 ) -> IntegrationReport:
@@ -186,9 +222,11 @@ def integrate_trig(
     ``method`` is a substitution name or "auto".  A result is kept only if
     its derivative equals ``R`` exactly.  Auto runs the preference list,
     keeps every certified result, and picks the one with the fewest terms
-    (preference order breaks ties).  All-methods failure raises the most
-    informative error; a report lists non-fatal per-method failures in
-    ``failures``.
+    (preference order breaks ties).  When Gregory refuses with
+    :class:`UnsupportedDenominator`, auto mode takes Weierstrass's refusal
+    from it instead of running Weierstrass (see the module docstring).
+    All-methods failure raises the most informative error; a report lists
+    non-fatal per-method failures in ``failures``.
     """
     if method == AUTO:
         order = [get_substitution(name) for name in _AUTO_ORDER]
@@ -200,7 +238,7 @@ def integrate_trig(
     failures: list[tuple[str, SecintError]] = []
     for sub in order:
         if sub.back_sub not in outcomes:
-            outcomes[sub.back_sub] = _run_pipeline(R, sub)
+            outcomes[sub.back_sub] = _moved_refusal(outcomes, sub) or _run_pipeline(R, sub)
         outcome = outcomes[sub.back_sub]
         if isinstance(outcome, SecintError):
             failures.append((sub.name.value, outcome))

@@ -34,7 +34,24 @@ class NotApplicable(SecintError):
 
 class UnsupportedDenominator(SecintError):
     """A squarefree denominator cofactor cannot be split into rational
-    linear factors and a single quadratic."""
+    linear factors and a single quadratic.
+
+    ``cofactor`` is the polynomial left once the rational roots are divided
+    out, of degree three or more; the message is formatted from it, so a
+    cofactor moved to another parameter (see
+    :func:`secint.substitution.moved_cofactor`) names itself in that
+    parameter.
+    """
+
+    def __init__(self, cofactor):
+        super().__init__(
+            f"denominator factor {cofactor} of degree {cofactor.degree} has no rational root"
+        )
+        self.cofactor = cofactor
+
+    def __reduce__(self):
+        # rebuilt from the cofactor, not the message, so it copies and pickles
+        return type(self), (self.cofactor,)
 
 
 class IrrationalAtanScale(SecintError):

@@ -280,7 +280,7 @@ def partial_fractions(f: RationalFunction) -> list[Term]:
     (b/2)ln(u^2+pu+q) + k*atan((u+p/2)/m) with m^2 = q - p^2/4, provided m
     is rational (:class:`IrrationalAtanScale` otherwise, when the atan
     coefficient is nonzero).  A cofactor of degree three or more raises
-    :class:`UnsupportedDenominator`.
+    :class:`UnsupportedDenominator`, which carries Q.
     """
     if f.is_zero():
         return []
@@ -307,9 +307,7 @@ def partial_fractions(f: RationalFunction) -> list[Term]:
     if Q.is_constant():
         return terms
     if Q.degree > 2:
-        raise UnsupportedDenominator(
-            f"denominator factor {Q} of degree {Q.degree} has no rational root"
-        )
+        raise UnsupportedDenominator(Q)
     S = Polynomial.zero(var)
     for residue, linear in residues:
         S = S + L.exact_div(linear) * residue

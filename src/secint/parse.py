@@ -13,28 +13,66 @@ variable x may appear only as a trig argument: a bare x cannot be carried by
 the cos/sin representation, so it is rejected with a diagnostic rather than
 silently misread.  The typographic minus U+2212 is accepted as '-'.
 
-Every node evaluates straight into a canonical :class:`TrigRational`, so
-``tan(x) + cos(x)/(1+sin(x))`` parses to the same value as ``sec(x)``.
+Every node evaluates to a raw quotient: a (numerator, denominator) pair of
+:class:`TrigPolynomial` with no common factor removed.  Sums, products and
+quotients combine the pairs without a gcd; :func:`secint.trig.canonicalize`
+runs once on the base of each ``^``, so a power does not raise an unreduced
+base, and once on the whole expression.  Canonical forms are unique, so
+``tan(x) + cos(x)/(1+sin(x))`` parses to the same :class:`TrigRational` as
+``sec(x)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import TrigParseError
-from .trig import TrigRational
+from . import trig
+from .errors import DenominatorVanishesOnCircle, TrigParseError
+from .trig import TrigPolynomial, TrigRational
 
 # The raw input type: a string in the grammar above.
 TrigExpressionSource = str
 
-_FUNCTIONS = {
-    "sin": TrigRational.sin,
-    "cos": TrigRational.cos,
-    "tan": lambda: TrigRational.sin() / TrigRational.cos(),
-    "sec": lambda: 1 / TrigRational.cos(),
-    "csc": lambda: 1 / TrigRational.sin(),
-    "cot": lambda: TrigRational.cos() / TrigRational.sin(),
+# A parse node: numerator and denominator, not reduced.
+_Raw = tuple[TrigPolynomial, TrigPolynomial]
+
+_ONE = TrigPolynomial.constant(1)
+_COS = TrigPolynomial.cos()
+_SIN = TrigPolynomial.sin()
+
+_FUNCTIONS: dict[str, _Raw] = {
+    "sin": (_SIN, _ONE),
+    "cos": (_COS, _ONE),
+    "tan": (_SIN, _COS),
+    "sec": (_ONE, _COS),
+    "csc": (_ONE, _SIN),
+    "cot": (_COS, _SIN),
 }
+
+
+def _inverse(value: _Raw) -> _Raw:
+    # a zero divisor is refused here: a pair with a zero denominator,
+    # inverted once more, would read as the value 0
+    num, den = value
+    if num.is_zero():
+        raise DenominatorVanishesOnCircle("denominator reduces to zero on the unit circle")
+    return den, num
+
+
+def _sum(a: _Raw, b: _Raw) -> _Raw:
+    if a[1] == b[1]:
+        return a[0] + b[0], a[1]
+    return a[0] * b[1] + b[0] * a[1], a[1] * b[1]
+
+
+def _power(base: _Raw, exponent: int) -> _Raw:
+    """``base ^ exponent`` of the canonical form of ``base``."""
+    canonical = trig.canonicalize(*base)
+    value = (canonical.num, TrigPolynomial.from_cos_polynomial(canonical.den))
+    if exponent < 0:
+        value = _inverse(value)
+    return value[0] ** abs(exponent), value[1] ** abs(exponent)
+
 
 _OPERATORS = "+-*/^()"
 
@@ -102,31 +140,35 @@ class _Parser:
         if not self.accept_op(op):
             raise TrigParseError(f"expected {op!r}", self.current.pos)
 
-    def parse_expr(self) -> TrigRational:
+    def parse_expr(self) -> _Raw:
         negate = False
         sign = self.accept_op("+", "-")
         if sign is not None:
             negate = sign.text == "-"
         value = self.parse_term()
         if negate:
-            value = -value
+            value = (-value[0], value[1])
         while True:
             op = self.accept_op("+", "-")
             if op is None:
                 return value
             rhs = self.parse_term()
-            value = value + rhs if op.text == "+" else value - rhs
+            if op.text == "-":
+                rhs = (-rhs[0], rhs[1])
+            value = _sum(value, rhs)
 
-    def parse_term(self) -> TrigRational:
+    def parse_term(self) -> _Raw:
         value = self.parse_factor()
         while True:
             op = self.accept_op("*", "/")
             if op is None:
                 return value
             rhs = self.parse_factor()
-            value = value * rhs if op.text == "*" else value / rhs
+            if op.text == "/":
+                rhs = _inverse(rhs)
+            value = (value[0] * rhs[0], value[1] * rhs[1])
 
-    def parse_factor(self) -> TrigRational:
+    def parse_factor(self) -> _Raw:
         value = self.parse_base()
         if self.accept_op("^"):
             minus = self.accept_op("-") is not None
@@ -135,14 +177,14 @@ class _Parser:
                 raise TrigParseError("expected integer exponent after '^'", tok.pos)
             self.advance()
             exponent = int(tok.text)
-            value = value ** (-exponent if minus else exponent)
+            value = _power(value, -exponent if minus else exponent)
         return value
 
-    def parse_base(self) -> TrigRational:
+    def parse_base(self) -> _Raw:
         tok = self.current
         if tok.kind == "int":
             self.advance()
-            return TrigRational.constant(int(tok.text))
+            return TrigPolynomial.constant(int(tok.text)), _ONE
         if tok.kind == "op" and tok.text == "(":
             self.advance()
             value = self.parse_expr()
@@ -155,8 +197,8 @@ class _Parser:
                     "bare 'x' is not representable here; use it only as a trig argument",
                     tok.pos,
                 )
-            maker = _FUNCTIONS.get(tok.text)
-            if maker is None:
+            value = _FUNCTIONS.get(tok.text)
+            if value is None:
                 raise TrigParseError(
                     f"unknown function {tok.text!r} (expected one of "
                     + ", ".join(sorted(_FUNCTIONS))
@@ -171,7 +213,7 @@ class _Parser:
                 )
             self.advance()
             self.expect_op(")")
-            return maker()
+            return value
         raise TrigParseError("expected a number, function call, or '('", tok.pos)
 
 
@@ -186,4 +228,4 @@ def parse_trig(text: TrigExpressionSource) -> TrigRational:
     value = parser.parse_expr()
     if parser.current.kind != "end":
         raise TrigParseError("unexpected trailing input", parser.current.pos)
-    return value
+    return trig.canonicalize(*value)

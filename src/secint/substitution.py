@@ -20,10 +20,13 @@ the maps of :mod:`secint.conics` and the projection's slope formula:
 The differential factor is derived: cos' = -sin * x' and sin' = cos * x',
 so dx = cos * sin' - sin * cos'.  Both directions compose by one routine,
 :func:`_homogenized`: forward through (cos, sin) = (X/W, Y/W), back through
-``back_sub = B/C``, so each quotient is normalized once.  tan(x/2 + pi/4) and sec x + tan x are the
-same function, so modified and Gregory share ``back_sub`` and their maps
-agree up to the parameter's name; :func:`secint.engine.integrate_trig`
-keys its pipeline runs by ``back_sub`` and runs the pair once.
+``back_sub = B/C``, so each quotient is normalized once.  The same routine
+moves a polynomial between the parameters of two projections
+(:func:`change_of_parameter`, :func:`moved_cofactor`).  tan(x/2 + pi/4)
+and sec x + tan x are the same function, so modified and Gregory share
+``back_sub`` and their maps agree up to the parameter's name;
+:func:`secint.engine.integrate_trig` keys its pipeline runs by ``back_sub``
+and runs the pair once.
 
 The substitutions are immutable and built once, at import.
 """
@@ -136,17 +139,14 @@ def _barrow_integrand(R: TrigRational, var: str) -> RationalFunction:
     return ratfunc_normalize(a + Polynomial.variable(var) * b, d)
 
 
-def apply_substitution(R: TrigRational, sub: Substitution) -> SubstitutionResult:
-    """Transform R(cos x, sin x) dx into a rational integrand in the
-    parameter.  Barrow requires the integrand to be odd in cos and raises
-    :class:`NotApplicable` otherwise.
+def _along(R: TrigRational, sub: Substitution) -> tuple[Polynomial, Polynomial]:
+    """R(cos, sin) along a projection's maps, as a raw numerator and
+    denominator in its parameter.
 
     With (cos, sin) = (X/W, Y/W), R = (A + B*s)/D and m = max(deg A,
-    deg B + 1, deg D), the integrand is (hom(A, m) + Y*hom(B, m-1)) /
-    hom(D, m) * dx with hom(P, m) = W^m P(X/W): W^m cancels without a gcd.
+    deg B + 1, deg D), this is (hom(A, m) + Y*hom(B, m-1)) / hom(D, m)
+    with hom(P, m) = W^m P(X/W): W^m cancels without a gcd.
     """
-    if sub.name is SubstitutionName.BARROW:
-        return SubstitutionResult(_barrow_integrand(R, sub.param), sub)
     A, B, D = R.num.p, R.num.q, R.den
     m = max(A.degree, B.degree + 1, D.degree)
     X, Y, W = sub.cos_expr.num, sub.sin_expr.num, sub.cos_expr.den
@@ -159,8 +159,37 @@ def apply_substitution(R: TrigRational, sub: Substitution) -> SubstitutionResult
         raise DenominatorVanishesIdentically(
             "denominator vanishes identically along the parametrization"
         )
+    return num, den
+
+
+def apply_substitution(R: TrigRational, sub: Substitution) -> SubstitutionResult:
+    """Transform R(cos x, sin x) dx into a rational integrand in the
+    parameter: R along the maps (see :func:`_along`) times dx, normalized
+    once.  Barrow requires the integrand to be odd in cos and raises
+    :class:`NotApplicable` otherwise.
+    """
+    if sub.name is SubstitutionName.BARROW:
+        return SubstitutionResult(_barrow_integrand(R, sub.param), sub)
+    num, den = _along(R, sub)
     dx = sub.dx_expr
     return SubstitutionResult(ratfunc_normalize(num * dx.num, den * dx.den), sub)
+
+
+def change_of_parameter(source: Substitution, target: Substitution) -> RationalFunction:
+    """``source``'s parameter as a rational function of ``target``'s: its
+    ``back_sub`` along ``target``'s maps.  Between two projections of the
+    same circle this is a Mobius map; Gregory's u in Weierstrass's t is
+    (1+t)/(1-t)."""
+    return ratfunc_normalize(*_along(source.back_sub, target))
+
+
+def moved_cofactor(Q: Polynomial, mobius: RationalFunction) -> Polynomial:
+    """Q in the variable of the Mobius map ``mobius`` = X/W: the monic
+    ``W^d Q(X/W)`` with d = deg Q, whose roots t are those where X/W is a
+    root of Q.  If Q has no rational root, the result has degree d and no
+    rational root either, and every irreducible factor keeps its degree."""
+    d = Q.degree
+    return _homogenized(Q, d, mobius.num, _powers(mobius.den, d)).monic()
 
 
 def _powers(w: Polynomial, m: int) -> list[Polynomial]:

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from helpers import random_trig_rational
 from secint import engine
@@ -20,6 +22,7 @@ from secint.errors import (
     NotApplicable,
     SecintError,
     ToleranceNotMet,
+    UnsupportedDenominator,
 )
 from secint.integrate import (
     Antiderivative,
@@ -31,8 +34,14 @@ from secint.integrate import (
 from secint.parse import parse_trig
 from secint.ratfunc import Polynomial, RationalFunction
 from secint.render import format_antiderivative
-from secint.substitution import SubstitutionName, apply_substitution, get_substitution
-from secint.trig import TrigRational
+from secint.substitution import (
+    SubstitutionName,
+    apply_substitution,
+    change_of_parameter,
+    get_substitution,
+    moved_cofactor,
+)
+from secint.trig import TrigPolynomial, TrigRational, canonicalize
 
 SIN = TrigRational.sin()
 COS = TrigRational.cos()
@@ -125,6 +134,67 @@ def test_auto_shared_refusal_listed_under_both_names():
         "weierstrass",
     ]
     assert report.failures[0][1] == report.failures[1][1]
+
+
+# refused by Gregory with a rootless quartic, answered by Barrow
+GREGORY_REFUSES = "((0)+(-1*cos(x))*sin(x))/((-1)+(-3)*sin(x))"
+
+
+def recorded_substitutions(monkeypatch):
+    """The names of the substitutions the engine applies, in call order."""
+    names = []
+    original = engine.apply_substitution
+
+    def recording(R, sub):
+        names.append(sub.name.value)
+        return original(R, sub)
+
+    monkeypatch.setattr(engine, "apply_substitution", recording)
+    return names
+
+
+def test_auto_takes_weierstrass_refusal_from_gregory(monkeypatch):
+    R = parse_trig(GREGORY_REFUSES)
+    own = str(engine._run_pipeline(R, get_substitution("weierstrass")))
+    names = recorded_substitutions(monkeypatch)
+    report = integrate_trig(R, "auto")
+    assert names == ["gregory", "barrow"]
+    assert dict(report.failures)["weierstrass"] == own
+    assert own == "denominator factor t^4+6*t^3+2*t^2+6*t+1 of degree 4 has no rational root"
+
+
+def test_explicit_weierstrass_runs_its_own_pipeline(monkeypatch):
+    names = recorded_substitutions(monkeypatch)
+    with pytest.raises(UnsupportedDenominator) as info:
+        integrate_trig(parse_trig(GREGORY_REFUSES), "weierstrass")
+    assert names == ["weierstrass"]
+    assert str(info.value.cofactor) == "t^4+6*t^3+2*t^2+6*t+1"
+
+
+def cpoly(coeffs):
+    return Polynomial.from_coefficients(coeffs, "c")
+
+
+small_ints = st.lists(st.integers(-4, 4), max_size=3)
+U_IN_T = change_of_parameter(get_substitution("gregory"), get_substitution("weierstrass"))
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=small_ints, q=small_ints, dp=small_ints, dq=small_ints)
+@example(p=[1], q=[], dp=[25, -5, -12], dq=[])
+@example(p=[], q=[0, -1], dp=[-1], dq=[-3])
+def test_gregory_refuses_a_cofactor_exactly_when_weierstrass_does(p, q, dp, dq):
+    # a nonzero A + B*s never vanishes on the circle
+    assume(any(dp + dq))
+    R = canonicalize(
+        TrigPolynomial(cpoly(p), cpoly(q)), TrigPolynomial(cpoly(dp), cpoly(dq))
+    )
+    gregory = engine._run_pipeline(R, get_substitution("gregory"))
+    weierstrass = engine._run_pipeline(R, get_substitution("weierstrass"))
+    refused = isinstance(gregory, UnsupportedDenominator)
+    assert refused == isinstance(weierstrass, UnsupportedDenominator)
+    if refused:
+        assert moved_cofactor(gregory.cofactor, U_IN_T) == weierstrass.cofactor
 
 
 # cos(x)^10 falls below 1e-6 near the ends of the validity window, where a

@@ -1,6 +1,7 @@
 """Hermite reduction, partial fractions, and rational antiderivatives."""
 
 import itertools
+import pickle
 import random
 from fractions import Fraction
 
@@ -211,6 +212,9 @@ def test_pf_rejects_cubic_without_roots():
         with pytest.raises(UnsupportedDenominator) as info:
             partial_fractions(RF((1,), den))
         assert str(info.value) == "denominator factor u^3+2 of degree 3 has no rational root"
+        assert info.value.cofactor == P(2, 0, 0, 1)
+        copied = pickle.loads(pickle.dumps(info.value))
+        assert (str(copied), copied.cofactor) == (str(info.value), info.value.cofactor)
 
 
 def rootless_quadratics():

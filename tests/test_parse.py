@@ -1,6 +1,8 @@
 """Parser: grammar coverage and positioned diagnostics."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from secint.errors import DenominatorVanishesOnCircle, TrigParseError
 from secint.parse import parse_trig
@@ -90,3 +92,70 @@ def test_bare_x_message_is_helpful():
     with pytest.raises(TrigParseError) as excinfo:
         parse_trig("x")
     assert "trig argument" in str(excinfo.value)
+
+
+
+# Reference: each leaf and each operator evaluated by the TrigRational
+# operators, which canonicalize at every node.
+LEAVES = {
+    "sin(x)": lambda: SIN,
+    "cos(x)": lambda: COS,
+    "tan(x)": lambda: SIN / COS,
+    "sec(x)": lambda: 1 / COS,
+    "csc(x)": lambda: 1 / SIN,
+    "cot(x)": lambda: COS / SIN,
+    "0": lambda: TrigRational.constant(0),
+    "1": lambda: TrigRational.constant(1),
+    "3": lambda: TrigRational.constant(3),
+    "(sin(x)^2+cos(x)^2-1)": lambda: SIN**2 + COS**2 - 1,
+}
+BINARY = {
+    "+": lambda a, b: a + b,
+    "-": lambda a, b: a - b,
+    "*": lambda a, b: a * b,
+    "/": lambda a, b: a / b,
+}
+
+expressions = st.recursive(
+    st.sampled_from(sorted(LEAVES)),
+    lambda inner: st.one_of(
+        st.tuples(st.sampled_from(sorted(BINARY)), inner, inner),
+        st.tuples(st.just("neg"), inner),
+        st.tuples(st.just("^"), inner, st.integers(-3, 3)),
+    ),
+    max_leaves=8,
+)
+
+
+def text_of(tree):
+    if isinstance(tree, str):
+        return tree
+    if tree[0] == "neg":
+        return f"-({text_of(tree[1])})"
+    if tree[0] == "^":
+        return f"({text_of(tree[1])})^{tree[2]}"
+    return f"({text_of(tree[1])}){tree[0]}({text_of(tree[2])})"
+
+
+def value_of(tree):
+    """The tree evaluated by the operators, innermost node first."""
+    if isinstance(tree, str):
+        return LEAVES[tree]()
+    if tree[0] == "neg":
+        return -value_of(tree[1])
+    if tree[0] == "^":
+        return value_of(tree[1]) ** tree[2]
+    return BINARY[tree[0]](value_of(tree[1]), value_of(tree[2]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(tree=expressions)
+def test_parse_equals_the_operator_built_value(tree):
+    try:
+        expected = value_of(tree)
+    except DenominatorVanishesOnCircle as vanishing:
+        with pytest.raises(DenominatorVanishesOnCircle) as info:
+            parse_trig(text_of(tree))
+        assert str(info.value) == str(vanishing)
+        return
+    assert parse_trig(text_of(tree)) == expected

@@ -25,7 +25,9 @@ from secint.substitution import (
     apply_substitution,
     back_substitute,
     builtin_substitutions,
+    change_of_parameter,
     get_substitution,
+    moved_cofactor,
 )
 from secint.trig import (
     TrigPolynomial,
@@ -164,6 +166,24 @@ def test_gregory_equals_modified_on_random_inputs():
         ig = apply_substitution(r, g).integrand
         im = apply_substitution(r, m).integrand
         assert ig == im.rename("u")
+
+
+def test_gregory_parameter_is_a_mobius_map_of_weierstrass():
+    t = RationalFunction.variable("t")
+    u_in_t = change_of_parameter(by_name("gregory"), by_name("weierstrass"))
+    assert u_in_t == (1 + t) / (1 - t)
+    # and back: t = (u-1)/(u+1)
+    u = RationalFunction.variable("u")
+    assert change_of_parameter(by_name("weierstrass"), by_name("gregory")) == (u - 1) / (u + 1)
+
+
+def test_moved_cofactor_is_the_monic_homogeneous_composition():
+    u_in_t = change_of_parameter(by_name("gregory"), by_name("weierstrass"))
+    u, t = Polynomial.variable("u"), Polynomial.variable("t")
+    # (1+t)^2 + (1-t)^2 = 2t^2 + 2
+    assert moved_cofactor(u**2 + 1, u_in_t) == t**2 + 1
+    # (1+t)^3 + 2(1-t)^3 = -t^3 + 9t^2 - 3t + 3
+    assert moved_cofactor(u**3 + 2, u_in_t) == t**3 - 9 * t**2 + 3 * t - 3
 
 
 def test_back_substitute_log_of_parameter():
